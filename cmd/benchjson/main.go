@@ -12,9 +12,9 @@
 // emitted as {"before": ..., "after": ...} so a BENCH file records the
 // perf delta the way BENCH_columnar.json does. Without -before the legacy
 // flat results_ns_per_op map is emitted — unless a benchmark line carries
-// b.ReportMetric columns (peak-rss-MiB, rows, spill counters …), in which
-// case the rich per-benchmark form is used so the proof metrics land in
-// the JSON instead of being dropped with the flat map.
+// -benchmem columns or b.ReportMetric columns (peak-rss-MiB, rows, spill
+// counters …), in which case the rich per-benchmark form is used so those
+// measurements land in the JSON instead of being dropped with the flat map.
 package main
 
 import (
@@ -120,14 +120,7 @@ func main() {
 			rec.Results[name] = d
 		}
 	} else {
-		hasExtra := false
-		for _, m := range after {
-			if len(m.Extra) > 0 {
-				hasExtra = true
-				break
-			}
-		}
-		if hasExtra {
+		if !nsOnly(after) {
 			rec.Results = map[string]diff{}
 			for name, m := range after {
 				rec.Results[name] = diff{After: m}
@@ -186,6 +179,18 @@ func main() {
 				*gateNum, 100*(ratio-1), *gateDen, 100*(*gateMax-1))
 		}
 	}
+}
+
+// nsOnly reports whether every benchmark measured ns/op alone — no
+// -benchmem columns and no b.ReportMetric extras — which is when the legacy
+// flat ns/op map loses nothing.
+func nsOnly(results map[string]metrics) bool {
+	for _, m := range results {
+		if len(m.Extra) > 0 || m.BytesPerOp != nil || m.AllocsPerOp != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // parseBench extracts benchmark measurements from `go test -bench` output.

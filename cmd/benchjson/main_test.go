@@ -40,3 +40,25 @@ BenchmarkPlain  10  1234 ns/op
 		t.Errorf("plain line parsed as %+v", p)
 	}
 }
+
+// TestNsOnlySelectsSchema: the flat ns/op map is kept only for input that
+// measured nothing else, so -benchmem and ReportMetric columns are never
+// dropped from a BENCH file.
+func TestNsOnlySelectsSchema(t *testing.T) {
+	for _, tc := range []struct {
+		out  string
+		want bool
+	}{
+		{"BenchmarkA  10  1234 ns/op\nBenchmarkB  10  99 ns/op\n", true},
+		{"BenchmarkA  10  1234 ns/op\nBenchmarkB  10  99 ns/op  16 B/op  1 allocs/op\n", false},
+		{"BenchmarkA  10  1234 ns/op  3 rows\n", false},
+	} {
+		got, err := parseBench(strings.NewReader(tc.out), false)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if nsOnly(got) != tc.want {
+			t.Errorf("nsOnly(%q) = %v, want %v", tc.out, !tc.want, tc.want)
+		}
+	}
+}

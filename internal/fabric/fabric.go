@@ -26,6 +26,7 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/policy"
 	"repro/internal/proto"
+	"repro/internal/rng"
 	"repro/internal/vconn"
 	"repro/internal/world"
 	"repro/internal/zgrab"
@@ -66,6 +67,10 @@ type Fabric struct {
 	// because sharded sweeps call Send concurrently.
 	queries sync.Pool
 
+	// isnKey derives SYN-ACK initial sequence numbers. It is the world
+	// key's "isn" child, derived once here rather than per answered probe.
+	isnKey rng.Key
+
 	// preDests is PredialBatch's FIB resolution scratch. PredialBatch is
 	// single-caller by contract (the grab stage's window loop owns it),
 	// so one slice per fabric suffices.
@@ -87,6 +92,7 @@ func New(cfg *Config, org *origin.Origin, trial int) *Fabric {
 		org:     org,
 		trial:   trial,
 		fib:     cfg.World.FIB(),
+		isnKey:  cfg.World.Key.Derive("isn"),
 		queries: sync.Pool{New: func() any { return new(policy.Query) }},
 	}
 }
@@ -220,7 +226,7 @@ func (f *Fabric) Send(src ip.Addr, pkt []byte, t time.Duration) []byte {
 	// Host answers. ResetAfterAccept/CloseAfterAccept hosts still
 	// SYN-ACK (they kill the connection later, as Alibaba's SSH hosts
 	// do).
-	seq := f.cfg.World.Key.Derive("isn").Uint64(dst.Word64(), uint64(t))
+	seq := f.isnKey.Uint64(dst.Word64(), uint64(t))
 	return packet.MakeSYNACK(dst, src, tcph.DstPort, tcph.SrcPort, uint32(seq), tcph.Seq+1)
 }
 

@@ -6,12 +6,12 @@
 package hostsim
 
 import (
+	"bufio"
 	"bytes"
-	"fmt"
 	"net"
+	"sync"
 	"time"
 
-	"repro/internal/bufpool"
 	"repro/internal/httpwire"
 	"repro/internal/ip"
 	"repro/internal/proto"
@@ -25,25 +25,51 @@ import (
 // across trials, as real hosts are.
 type Server struct {
 	key rng.Key
+	// kexKey and kexInit are the SSH KEXINIT template: every host sends
+	// the same algorithm lists, so the payload is encoded once and only
+	// its keyed cookie is patched per connection.
+	kexKey  rng.Key
+	kexInit []byte
 }
 
 // NewServer returns a host simulator deriving personalities from key.
 func NewServer(key rng.Key) *Server {
-	return &Server{key: key.Derive("hostsim")}
+	s := &Server{key: key.Derive("hostsim")}
+	s.kexKey = s.key.Derive("kex")
+	s.kexInit = sshwire.DefaultKexInit(s.kexKey).Append(nil)
+	return s
+}
+
+// conv is one served connection's reusable scratch: the read buffer, the
+// flight being encoded, the protocol decoders' storage, and the inline
+// path's conn. Pooled, so serving a connection reuses all of it.
+type conv struct {
+	br     bufio.Reader
+	out    []byte // the response flight, sent with one Write
+	body   []byte // HTTP response body
+	req    httpwire.Request
+	hs     tlslite.HandshakeReader
+	ch     tlslite.ClientHello
+	inline inlineConn
+}
+
+var convs = sync.Pool{New: func() any { return new(conv) }}
+
+// put returns c to the pool without pinning the connection it served.
+func (c *conv) put() {
+	c.br.Reset(nil)
+	c.hs.Reset(nil)
+	c.inline = inlineConn{}
+	convs.Put(c)
 }
 
 // Serve handles one accepted connection to host for the given protocol and
 // closes conn when done. It is designed to run in its own goroutine.
 func (s *Server) Serve(conn net.Conn, host ip.Addr, p proto.Protocol) {
 	defer conn.Close()
-	switch p {
-	case proto.HTTP:
-		s.serveHTTP(conn, host)
-	case proto.HTTPS:
-		s.serveTLS(conn, host)
-	case proto.SSH:
-		s.serveSSH(conn, host)
-	}
+	c := convs.Get().(*conv)
+	defer c.put()
+	s.serve(c, conn, host, p)
 }
 
 // ServeInline handles one connection's exchange synchronously in the
@@ -56,26 +82,34 @@ func (s *Server) Serve(conn net.Conn, host ip.Addr, p proto.Protocol) {
 // would see the client's half-close, and the bytes appended to out are
 // identical to what Serve would have streamed through a vconn pipe. This
 // is the grab fast path's server side: zero goroutines, zero
-// synchronization, no per-connection allocation beyond out's growth.
+// synchronization, and — with the pooled scratch warm — no allocation
+// beyond out's growth, except the one string sshwire.ReadID makes of an
+// SSH client's identification line.
 func (s *Server) ServeInline(out *bytes.Buffer, in []byte, host ip.Addr, p proto.Protocol) {
-	var conn inlineConn
-	conn.in.Reset(in)
-	conn.out = out
+	c := convs.Get().(*conv)
+	defer c.put()
+	c.inline.in.Reset(in)
+	c.inline.out = out
+	s.serve(c, &c.inline, host, p)
+}
+
+// serve runs host's side of one connection with c as its scratch.
+func (s *Server) serve(c *conv, conn net.Conn, host ip.Addr, p proto.Protocol) {
+	c.br.Reset(conn)
 	switch p {
 	case proto.HTTP:
-		s.serveHTTP(&conn, host)
+		s.serveHTTP(c, conn, host)
 	case proto.HTTPS:
-		s.serveTLS(&conn, host)
+		s.serveTLS(c, conn, host)
 	case proto.SSH:
-		s.serveSSH(&conn, host)
+		s.serveSSH(c, conn, host)
 	}
 }
 
 // inlineConn adapts a fully-buffered exchange to net.Conn for the serve
 // functions: reads drain the client's flight (then io.EOF, the half-close
 // a goroutine server sees once the client stops writing), writes append
-// to the response buffer. Stack-allocatable: ServeInline's conn never
-// escapes the serve call.
+// to the response buffer. It lives in the pooled conv.
 type inlineConn struct {
 	in  bytes.Reader
 	out *bytes.Buffer
@@ -103,42 +137,49 @@ var httpServers = []string{
 }
 
 // serveHTTP answers one GET with a small page.
-func (s *Server) serveHTTP(conn net.Conn, host ip.Addr) {
-	br := bufpool.Reader(conn)
-	defer bufpool.PutReader(br)
-	req, err := httpwire.ReadRequest(br)
-	if err != nil {
+func (s *Server) serveHTTP(c *conv, conn net.Conn, host ip.Addr) {
+	if err := httpwire.ReadRequest(&c.br, &c.req); err != nil {
 		return
 	}
 	software := httpServers[int(s.key.Uint64(host.Word64(), 1)%uint64(len(httpServers)))]
-	body := fmt.Sprintf("<html><head><title>%s</title></head><body>host %s says hello to %s %s</body></html>",
-		host, host, req.Method, req.Target)
-	_ = httpwire.WriteResponse(conn, 200, "OK",
+	b := append(c.body[:0], "<html><head><title>"...)
+	h0 := len(b)
+	b = host.AppendTo(b)
+	h1 := len(b)
+	b = append(b, "</title></head><body>host "...)
+	b = append(b, b[h0:h1]...)
+	b = append(b, " says hello to "...)
+	b = append(b, c.req.Method...)
+	b = append(b, ' ')
+	b = append(b, c.req.Target...)
+	c.body = append(b, "</body></html>"...)
+	c.out = httpwire.AppendResponse(c.out[:0], 200, "OK",
 		[]httpwire.Header{
 			{Name: "Server", Value: software},
 			{Name: "Content-Type", Value: "text/html"},
-		}, []byte(body))
+		}, c.body)
+	_, _ = conn.Write(c.out)
 }
 
 // serveTLS completes the server's first handshake flight: ServerHello,
 // Certificate, ServerHelloDone. The grab terminates there, as the paper's
 // TLS handshake capture does.
-func (s *Server) serveTLS(conn net.Conn, host ip.Addr) {
-	hr := tlslite.NewHandshakeReader(conn)
-	typ, body, err := hr.Next()
+func (s *Server) serveTLS(c *conv, conn net.Conn, host ip.Addr) {
+	c.hs.Reset(conn)
+	typ, body, err := c.hs.Next()
 	if err != nil || typ != tlslite.TypeClientHello {
 		return
 	}
-	ch, err := tlslite.ParseClientHello(body)
-	if err != nil || len(ch.CipherSuites) == 0 {
-		_ = tlslite.WriteAlert(conn, 2, 40) // fatal handshake_failure
+	if err := tlslite.ParseClientHello(body, &c.ch); err != nil || len(c.ch.CipherSuites) == 0 {
+		c.out = tlslite.AppendAlert(c.out[:0], 2, 40) // fatal handshake_failure
+		_, _ = conn.Write(c.out)
 		return
 	}
 	// Pick the client's highest-preference suite we "support": first
 	// offered, like a server honoring client preference.
-	sh := &tlslite.ServerHello{
+	sh := tlslite.ServerHello{
 		Version:     tlslite.VersionTLS12,
-		CipherSuite: ch.CipherSuites[0],
+		CipherSuite: c.ch.CipherSuites[0],
 	}
 	stream := s.key.Stream(host.Word64(), 2)
 	for i := 0; i < 32; i += 8 {
@@ -147,22 +188,27 @@ func (s *Server) serveTLS(conn net.Conn, host ip.Addr) {
 			sh.Random[i+j] = byte(v >> (8 * uint(j)))
 		}
 	}
-	if err := sh.Write(conn); err != nil {
+	out, err := sh.Append(c.out[:0])
+	if err != nil {
 		return
 	}
-	cert := &tlslite.Certificate{Chain: [][]byte{s.certBlob(host)}}
-	if err := cert.Write(conn); err != nil {
+	if out, err = s.appendCert(out, host); err != nil {
 		return
 	}
-	_ = tlslite.WriteServerHelloDone(conn)
+	c.out = tlslite.AppendServerHelloDone(out)
+	_, _ = conn.Write(c.out)
 }
 
-// certBlob synthesizes a stable pseudo-DER certificate for the host. It is
-// opaque bytes with a DER-ish SEQUENCE framing, unique per host.
-func (s *Server) certBlob(host ip.Addr) []byte {
+// appendCert appends the host's Certificate message to b, synthesizing a
+// stable pseudo-DER certificate straight into it: 600–999 opaque bytes
+// with a DER-ish SEQUENCE framing, unique per host.
+func (s *Server) appendCert(b []byte, host ip.Addr) ([]byte, error) {
 	stream := s.key.Stream(host.Word64(), 3)
 	n := 600 + int(stream.Uint64()%400)
-	blob := make([]byte, n)
+	b, blob, err := tlslite.AppendCertificate(b, n)
+	if err != nil {
+		return b, err
+	}
 	for i := 0; i < n; i += 8 {
 		v := stream.Uint64()
 		for j := 0; j < 8 && i+j < n; j++ {
@@ -173,7 +219,7 @@ func (s *Server) certBlob(host ip.Addr) []byte {
 	blob[1] = 0x82 // long form, 2 length bytes
 	blob[2] = byte((n - 4) >> 8)
 	blob[3] = byte(n - 4)
-	return blob
+	return b, nil
 }
 
 var sshVersions = []string{
@@ -181,23 +227,29 @@ var sshVersions = []string{
 	"OpenSSH_6.6.1", "OpenSSH_8.0",
 }
 
-// serveSSH performs the identification exchange and sends KEXINIT, then
+// serveSSH sends the identification string and KEXINIT as one flight, then
 // reads the client's ID and KEXINIT before closing. The grab terminates
 // after the version exchange per the paper's methodology.
-func (s *Server) serveSSH(conn net.Conn, host ip.Addr) {
+func (s *Server) serveSSH(c *conv, conn net.Conn, host ip.Addr) {
 	version := sshVersions[int(s.key.Uint64(host.Word64(), 4)%uint64(len(sshVersions)))]
-	if err := sshwire.WriteID(conn, sshwire.ID{ProtoVersion: "2.0", SoftwareVersion: version}); err != nil {
+	out, err := sshwire.AppendID(c.out[:0], sshwire.ID{ProtoVersion: "2.0", SoftwareVersion: version})
+	if err != nil {
 		return
 	}
-	kex := sshwire.DefaultKexInit(s.key.Derive("kex").DeriveN("host", host.Word64()))
-	if err := sshwire.WritePacket(conn, kex.Marshal()); err != nil {
+	pkt := len(out)
+	if out, err = sshwire.AppendPacket(out, s.kexInit); err != nil {
 		return
 	}
-	br := bufpool.Reader(conn)
-	defer bufpool.PutReader(br)
-	if _, err := sshwire.ReadID(br); err != nil {
+	cookie := out[pkt+sshwire.PacketHeaderLen+sshwire.CookieOffset:]
+	sshwire.PutCookie(cookie, s.kexKey.DeriveN("host", host.Word64()))
+	c.out = out
+	if _, err := conn.Write(c.out); err != nil {
 		return
 	}
-	// Client may send its KEXINIT; read and discard if so.
-	_, _ = sshwire.ReadPacket(br)
+	if _, err := sshwire.ReadID(&c.br); err != nil {
+		return
+	}
+	// Client may send its KEXINIT; read and discard if so, into the
+	// flight buffer (already written).
+	c.out, _ = sshwire.ReadPacket(c.out[:0], &c.br)
 }

@@ -29,21 +29,34 @@ func serve(s *Server, host ip.Addr, p proto.Protocol) (client *vconn.Conn, wait 
 	return client, wg.Wait
 }
 
+// writeFlight encodes one client flight with an append-style encoder and
+// sends it with one Write.
+func writeFlight(t *testing.T, conn io.Writer, appendTo func([]byte) ([]byte, error)) {
+	t.Helper()
+	flight, err := appendTo(nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(flight); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestServeHTTPAnswersGet(t *testing.T) {
 	s := NewServer(rng.NewKey(1))
 	client, wait := serve(s, ip.MustParseAddr("10.0.0.1"), proto.HTTP)
 	defer client.Close()
-	if err := httpwire.WriteRequest(client, "GET", "/", "10.0.0.1", "test"); err != nil {
+	if _, err := client.Write(httpwire.AppendRequest(nil, "GET", "/", ip.MustParseAddr("10.0.0.1"), "test")); err != nil {
 		t.Fatal(err)
 	}
-	resp, err := httpwire.ReadResponse(bufio.NewReader(client), 0)
-	if err != nil {
+	var resp httpwire.Response
+	if err := httpwire.ReadResponse(bufio.NewReader(client), 0, &resp); err != nil {
 		t.Fatal(err)
 	}
 	if resp.StatusCode != 200 {
 		t.Errorf("status = %d", resp.StatusCode)
 	}
-	if sv, ok := resp.Get("Server"); !ok || sv == "" {
+	if sv, ok := resp.Get("Server"); !ok || len(sv) == 0 {
 		t.Error("no Server header")
 	}
 	if len(resp.Body) == 0 {
@@ -65,17 +78,15 @@ func TestServeTLSFlight(t *testing.T) {
 	host := ip.MustParseAddr("10.0.0.3")
 	client, wait := serve(s, host, proto.HTTPS)
 	defer client.Close()
-	ch := tlslite.NewClientHello(rng.NewKey(4), host.String())
-	if err := ch.Write(client); err != nil {
-		t.Fatal(err)
-	}
+	ch := tlslite.NewClientHello(rng.NewKey(4), host.AppendTo(nil))
+	writeFlight(t, client, ch.Append)
 	hr := tlslite.NewHandshakeReader(client)
 	typ, body, err := hr.Next()
 	if err != nil || typ != tlslite.TypeServerHello {
 		t.Fatalf("first message: %d, %v", typ, err)
 	}
-	sh, err := tlslite.ParseServerHello(body)
-	if err != nil {
+	var sh tlslite.ServerHello
+	if err := tlslite.ParseServerHello(body, &sh); err != nil {
 		t.Fatal(err)
 	}
 	if sh.CipherSuite != ch.CipherSuites[0] {
@@ -85,8 +96,8 @@ func TestServeTLSFlight(t *testing.T) {
 	if err != nil || typ != tlslite.TypeCertificate {
 		t.Fatalf("second message: %d, %v", typ, err)
 	}
-	cert, err := tlslite.ParseCertificate(body)
-	if err != nil {
+	var cert tlslite.Certificate
+	if err := tlslite.ParseCertificate(body, &cert); err != nil {
 		t.Fatal(err)
 	}
 	if len(cert.Chain) != 1 || cert.Chain[0][0] != 0x30 {
@@ -103,11 +114,9 @@ func TestServeTLSAlertsOnEmptySuites(t *testing.T) {
 	host := ip.MustParseAddr("10.0.0.4")
 	client, wait := serve(s, host, proto.HTTPS)
 	defer client.Close()
-	ch := tlslite.NewClientHello(rng.NewKey(6), "")
+	ch := tlslite.NewClientHello(rng.NewKey(6), nil)
 	ch.CipherSuites = nil
-	if err := ch.Write(client); err != nil {
-		t.Fatal(err)
-	}
+	writeFlight(t, client, ch.Append)
 	hr := tlslite.NewHandshakeReader(client)
 	if _, _, err := hr.Next(); err != tlslite.ErrAlert {
 		t.Errorf("err = %v, want ErrAlert", err)
@@ -129,7 +138,7 @@ func TestServeSSHVersionExchange(t *testing.T) {
 		t.Errorf("server id = %+v", id)
 	}
 	// Server's KEXINIT follows.
-	payload, err := sshwire.ReadPacket(br)
+	payload, err := sshwire.ReadPacket(nil, br)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,8 +150,9 @@ func TestServeSSHVersionExchange(t *testing.T) {
 		t.Error("empty kex algorithm list")
 	}
 	// Complete our side so the server returns cleanly.
-	sshwire.WriteID(client, sshwire.ID{ProtoVersion: "2.0", SoftwareVersion: "test"})
-	sshwire.WritePacket(client, sshwire.DefaultKexInit(rng.NewKey(8)).Marshal())
+	flight, _ := sshwire.AppendID(nil, sshwire.ID{ProtoVersion: "2.0", SoftwareVersion: "test"})
+	flight, _ = sshwire.AppendPacket(flight, sshwire.DefaultKexInit(rng.NewKey(8)).Append(nil))
+	client.Write(flight)
 	wait()
 }
 
@@ -175,12 +185,24 @@ func TestPersonalitiesStableAndDiverse(t *testing.T) {
 
 func TestCertBlobStablePerHost(t *testing.T) {
 	s := NewServer(rng.NewKey(10))
-	a := s.certBlob(ip.MustParseAddr("10.0.0.9"))
-	b := s.certBlob(ip.MustParseAddr("10.0.0.9"))
+	blob := func(host ip.Addr) []byte {
+		msg, err := s.appendCert(nil, host)
+		if err != nil {
+			t.Fatal(err)
+		}
+		typ, body, err := tlslite.NewHandshakeReader(bytes.NewReader(msg)).Next()
+		var cert tlslite.Certificate
+		if err != nil || typ != tlslite.TypeCertificate || tlslite.ParseCertificate(body, &cert) != nil || len(cert.Chain) != 1 {
+			t.Fatalf("certificate message: type %d, %v", typ, err)
+		}
+		return cert.Chain[0]
+	}
+	a := blob(ip.MustParseAddr("10.0.0.9"))
+	b := blob(ip.MustParseAddr("10.0.0.9"))
 	if string(a) != string(b) {
 		t.Error("certificate changed between handshakes")
 	}
-	c := s.certBlob(ip.MustParseAddr("10.0.0.10"))
+	c := blob(ip.MustParseAddr("10.0.0.10"))
 	if string(a) == string(c) {
 		t.Error("different hosts share a certificate")
 	}
@@ -202,26 +224,23 @@ func TestServeInlineMatchesGoroutineServe(t *testing.T) {
 		ip.MustParseAddr("172.16.9.200"),
 		ip.MustParseAddr("192.0.2.41"),
 	} {
-		httpFlight := &bytes.Buffer{}
-		if err := httpwire.WriteRequest(httpFlight, "GET", "/", host.String(), "Mozilla/5.0 zgrab/0.x"); err != nil {
+		httpFlight := httpwire.AppendRequest(nil, "GET", "/", host, "Mozilla/5.0 zgrab/0.x")
+		ch := tlslite.NewClientHello(rng.NewKey(5).DeriveN("ch", host.Word64()), host.AppendTo(nil))
+		tlsFlight, err := ch.Append(nil)
+		if err != nil {
 			t.Fatal(err)
 		}
-		tlsFlight := &bytes.Buffer{}
-		ch := tlslite.NewClientHello(rng.NewKey(5).DeriveN("ch", host.Word64()), host.String())
-		if err := ch.Write(tlsFlight); err != nil {
-			t.Fatal(err)
-		}
-		sshFlight := &bytes.Buffer{}
-		if err := sshwire.WriteID(sshFlight, sshwire.ID{ProtoVersion: "2.0", SoftwareVersion: "zgrab_ssh_0.x"}); err != nil {
+		sshFlight, err := sshwire.AppendID(nil, sshwire.ID{ProtoVersion: "2.0", SoftwareVersion: "zgrab_ssh_0.x"})
+		if err != nil {
 			t.Fatal(err)
 		}
 		for _, tc := range []struct {
 			p      proto.Protocol
 			flight []byte
 		}{
-			{proto.HTTP, httpFlight.Bytes()},
-			{proto.HTTPS, tlsFlight.Bytes()},
-			{proto.SSH, sshFlight.Bytes()},
+			{proto.HTTP, httpFlight},
+			{proto.HTTPS, tlsFlight},
+			{proto.SSH, sshFlight},
 		} {
 			t.Run(host.String()+"/"+tc.p.String(), func(t *testing.T) {
 				client, wait := serve(s, host, tc.p)

@@ -5,24 +5,35 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/ip"
 )
 
+// readResponse decodes raw into a fresh Response.
+func readResponse(raw []byte, maxBody int) (*Response, error) {
+	resp := new(Response)
+	return resp, ReadResponse(bufio.NewReader(bytes.NewReader(raw)), maxBody, resp)
+}
+
+// readRequest decodes raw into a fresh Request.
+func readRequest(raw []byte) (*Request, error) {
+	req := new(Request)
+	return req, ReadRequest(bufio.NewReader(bytes.NewReader(raw)), req)
+}
+
 func TestRequestRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
-	if err := WriteRequest(&buf, "GET", "/", "192.0.2.7", "Mozilla/5.0 zgrab/0.x"); err != nil {
+	raw := AppendRequest(nil, "GET", "/", ip.MustParseAddr("192.0.2.7"), "Mozilla/5.0 zgrab/0.x")
+	var req Request
+	if err := ReadRequest(bufio.NewReader(bytes.NewReader(raw)), &req); err != nil {
 		t.Fatal(err)
 	}
-	req, err := ReadRequest(bufio.NewReader(&buf))
-	if err != nil {
-		t.Fatal(err)
+	if string(req.Method) != "GET" || string(req.Target) != "/" || string(req.Proto) != "HTTP/1.1" {
+		t.Errorf("request line: %q %q %q", req.Method, req.Target, req.Proto)
 	}
-	if req.Method != "GET" || req.Target != "/" || req.Proto != "HTTP/1.1" {
-		t.Errorf("request line: %+v", req)
-	}
-	if host, ok := req.Get("host"); !ok || host != "192.0.2.7" {
+	if host, ok := req.Get("host"); !ok || string(host) != "192.0.2.7" {
 		t.Errorf("Host = %q,%v", host, ok)
 	}
-	if ua, ok := req.Get("User-Agent"); !ok || !strings.Contains(ua, "zgrab") {
+	if ua, ok := req.Get("User-Agent"); !ok || !bytes.Contains(ua, []byte("zgrab")) {
 		t.Errorf("User-Agent = %q,%v", ua, ok)
 	}
 	if _, ok := req.Get("Connection"); !ok {
@@ -31,20 +42,16 @@ func TestRequestRoundTrip(t *testing.T) {
 }
 
 func TestResponseRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
 	body := []byte("<html><title>Index</title></html>")
-	err := WriteResponse(&buf, 200, "OK", []Header{{"Server", "nginx"}, {"Content-Type", "text/html"}}, body)
+	raw := AppendResponse(nil, 200, "OK", []Header{{"Server", "nginx"}, {"Content-Type", "text/html"}}, body)
+	resp, err := readResponse(raw, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := ReadResponse(bufio.NewReader(&buf), 0)
-	if err != nil {
-		t.Fatal(err)
+	if resp.StatusCode != 200 || string(resp.Status) != "OK" || string(resp.Proto) != "HTTP/1.1" {
+		t.Errorf("status: %q %d %q", resp.Proto, resp.StatusCode, resp.Status)
 	}
-	if resp.StatusCode != 200 || resp.Status != "OK" {
-		t.Errorf("status: %d %q", resp.StatusCode, resp.Status)
-	}
-	if sv, _ := resp.Get("server"); sv != "nginx" {
+	if sv, _ := resp.Get("server"); string(sv) != "nginx" {
 		t.Errorf("Server = %q", sv)
 	}
 	if !bytes.Equal(resp.Body, body) {
@@ -53,12 +60,8 @@ func TestResponseRoundTrip(t *testing.T) {
 }
 
 func TestResponseBodyCapped(t *testing.T) {
-	var buf bytes.Buffer
 	big := bytes.Repeat([]byte("x"), 100<<10)
-	if err := WriteResponse(&buf, 200, "OK", nil, big); err != nil {
-		t.Fatal(err)
-	}
-	resp, err := ReadResponse(bufio.NewReader(&buf), 1024)
+	resp, err := readResponse(AppendResponse(nil, 200, "OK", nil, big), 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -69,7 +72,7 @@ func TestResponseBodyCapped(t *testing.T) {
 
 func TestResponseWithoutContentLengthReadsToEOF(t *testing.T) {
 	raw := "HTTP/1.1 301 Moved Permanently\r\nLocation: https://example.org/\r\n\r\nmoved"
-	resp, err := ReadResponse(bufio.NewReader(strings.NewReader(raw)), 0)
+	resp, err := readResponse([]byte(raw), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,7 +94,7 @@ func TestMalformedResponses(t *testing.T) {
 		"HTTP/1.1 200 OK\r\nBadHeaderNoColon\r\n\r\n",
 	}
 	for _, raw := range bad {
-		if _, err := ReadResponse(bufio.NewReader(strings.NewReader(raw)), 0); err == nil {
+		if _, err := readResponse([]byte(raw), 0); err == nil {
 			t.Errorf("ReadResponse(%q) succeeded", raw)
 		}
 	}
@@ -104,7 +107,7 @@ func TestMalformedRequests(t *testing.T) {
 		"GET / HTTP/1.1\r\nX\r\n\r\n", // header without colon
 	}
 	for _, raw := range bad {
-		if _, err := ReadRequest(bufio.NewReader(strings.NewReader(raw))); err == nil {
+		if _, err := readRequest([]byte(raw)); err == nil {
 			t.Errorf("ReadRequest(%q) succeeded", raw)
 		}
 	}
@@ -117,23 +120,77 @@ func TestHeaderLimits(t *testing.T) {
 		b.WriteString("X-H: v\r\n")
 	}
 	b.WriteString("\r\n")
-	if _, err := ReadResponse(bufio.NewReader(strings.NewReader(b.String())), 0); err == nil {
+	if _, err := readResponse([]byte(b.String()), 0); err == nil {
 		t.Error("unbounded header count accepted")
 	}
 
 	long := "HTTP/1.1 200 OK\r\nX-Long: " + strings.Repeat("a", MaxLineLen+10) + "\r\n\r\n"
-	if _, err := ReadResponse(bufio.NewReader(strings.NewReader(long)), 0); err == nil {
+	if _, err := readResponse([]byte(long), 0); err == nil {
 		t.Error("oversized header line accepted")
 	}
 }
 
 func TestContentLengthIgnoredWhenInsane(t *testing.T) {
 	raw := "HTTP/1.1 200 OK\r\nContent-Length: -5\r\n\r\nbody"
-	resp, err := ReadResponse(bufio.NewReader(strings.NewReader(raw)), 0)
+	resp, err := readResponse([]byte(raw), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if string(resp.Body) != "body" {
 		t.Errorf("body = %q", resp.Body)
+	}
+}
+
+// TestDecodersReuseStorage decodes a sequence of messages into one Request
+// and one Response: every decode must see only its own message, and once
+// the storage has grown a decode allocates nothing.
+func TestDecodersReuseStorage(t *testing.T) {
+	var resp Response
+	var br bufio.Reader
+	var rd bytes.Reader
+	for i, m := range []struct{ raw, server, body string }{
+		{"HTTP/1.1 200 OK\r\nServer: a-long-server-name/1.0\r\nContent-Length: 5\r\n\r\nhello", "a-long-server-name/1.0", "hello"},
+		{"HTTP/1.0 404 Gone\r\n\r\nxy", "", "xy"},
+		{"HTTP/1.1 301 Moved\r\nserver: b\r\n\r\n", "b", ""},
+	} {
+		rd.Reset([]byte(m.raw))
+		br.Reset(&rd)
+		if err := ReadResponse(&br, 0, &resp); err != nil {
+			t.Fatalf("message %d: %v", i, err)
+		}
+		sv, _ := resp.Get("Server")
+		if string(sv) != m.server || string(resp.Body) != m.body {
+			t.Errorf("message %d: Server %q body %q, want %q %q", i, sv, resp.Body, m.server, m.body)
+		}
+	}
+	raw := AppendResponse(nil, 200, "OK", []Header{{"Server", "nginx"}}, []byte("<html></html>"))
+	allocs := testing.AllocsPerRun(100, func() {
+		rd.Reset(raw)
+		br.Reset(&rd)
+		if err := ReadResponse(&br, 0, &resp); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := resp.Get("server"); !ok {
+			t.Fatal("no Server header")
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ReadResponse into warm storage allocates %.1f, want 0", allocs)
+	}
+
+	var req Request
+	rawReq := AppendRequest(nil, "GET", "/index.html", ip.MustParseAddr("2001:db8::7"), "ua")
+	allocs = testing.AllocsPerRun(100, func() {
+		rd.Reset(rawReq)
+		br.Reset(&rd)
+		if err := ReadRequest(&br, &req); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("ReadRequest into warm storage allocates %.1f, want 0", allocs)
+	}
+	if h, _ := req.Get("Host"); string(req.Target) != "/index.html" || string(h) != "2001:db8::7" {
+		t.Errorf("request: target %q host %q", req.Target, h)
 	}
 }

@@ -189,22 +189,28 @@ func MustParseAddr(s string) Addr {
 // String returns dotted-quad notation for IPv4 and RFC 5952 canonical form
 // for IPv6.
 func (a Addr) String() string {
+	var b [39]byte // longest IPv6 text form
+	return string(a.AppendTo(b[:0]))
+}
+
+// AppendTo appends the String form of a to b and returns the extended
+// slice, so wire encoders (the HTTP Host header, the TLS SNI extension)
+// write the address text without building a string first.
+func (a Addr) AppendTo(b []byte) []byte {
 	if a.Is4() {
 		v := uint32(a.lo)
-		var b [15]byte
-		buf := strconv.AppendUint(b[:0], uint64(v>>24), 10)
-		buf = append(buf, '.')
-		buf = strconv.AppendUint(buf, uint64(v>>16&0xff), 10)
-		buf = append(buf, '.')
-		buf = strconv.AppendUint(buf, uint64(v>>8&0xff), 10)
-		buf = append(buf, '.')
-		buf = strconv.AppendUint(buf, uint64(v&0xff), 10)
-		return string(buf)
+		b = strconv.AppendUint(b, uint64(v>>24), 10)
+		b = append(b, '.')
+		b = strconv.AppendUint(b, uint64(v>>16&0xff), 10)
+		b = append(b, '.')
+		b = strconv.AppendUint(b, uint64(v>>8&0xff), 10)
+		b = append(b, '.')
+		return strconv.AppendUint(b, uint64(v&0xff), 10)
 	}
-	var b [16]byte
-	bePutUint64(b[0:8], a.hi)
-	bePutUint64(b[8:16], a.lo)
-	return netip.AddrFrom16(b).String()
+	var w [16]byte
+	bePutUint64(w[0:8], a.hi)
+	bePutUint64(w[8:16], a.lo)
+	return netip.AddrFrom16(w).AppendTo(b)
 }
 
 // Octets returns the four octets of an IPv4 address (panics on IPv6).

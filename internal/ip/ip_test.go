@@ -1,6 +1,7 @@
 package ip
 
 import (
+	"net/netip"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -406,5 +407,29 @@ func TestParseBlocklist6(t *testing.T) {
 	}
 	if !set.Contains(MustParseAddr("10.1.2.3")) {
 		t.Error("v4 member not blocked")
+	}
+}
+
+// TestAddrAppendTo pins AppendTo to String (and to net/netip's text form)
+// across both families, and checks it appends into the caller's capacity
+// without allocating.
+func TestAddrAppendTo(t *testing.T) {
+	for _, s := range []string{
+		"0.0.0.0", "1.2.3.4", "10.0.0.255", "192.0.2.41", "255.255.255.255",
+		"::", "::1", "2001:db8::1", "2001:db8:0:1:1:1:1:1", "fe80::1:2",
+	} {
+		a := MustParseAddr(s)
+		want := netip.MustParseAddr(s).String()
+		if got := string(a.AppendTo([]byte("x="))); got != "x="+want {
+			t.Errorf("AppendTo(%s) = %q, want %q", s, got, "x="+want)
+		}
+		if a.String() != want {
+			t.Errorf("String(%s) = %q, want %q", s, a.String(), want)
+		}
+	}
+	a := MustParseAddr("203.0.113.200")
+	buf := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(100, func() { buf = a.AppendTo(buf[:0]) }); n != 0 {
+		t.Errorf("AppendTo allocates %.1f per call, want 0", n)
 	}
 }

@@ -8,10 +8,11 @@ package sshwire
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"io"
+	"slices"
 	"strings"
 
 	"repro/internal/rng"
@@ -45,55 +46,57 @@ type ID struct {
 	Comments        string
 }
 
-// String formats the identification line (without CRLF).
-func (id ID) String() string {
-	s := fmt.Sprintf("SSH-%s-%s", id.ProtoVersion, id.SoftwareVersion)
+// AppendID appends an identification line terminated by CRLF to b.
+func AppendID(b []byte, id ID) ([]byte, error) {
+	start := len(b)
+	b = append(b, "SSH-"...)
+	b = append(b, id.ProtoVersion...)
+	b = append(b, '-')
+	b = append(b, id.SoftwareVersion...)
 	if id.Comments != "" {
-		s += " " + id.Comments
+		b = append(b, ' ')
+		b = append(b, id.Comments...)
 	}
-	return s
-}
-
-// WriteID sends an identification string terminated by CRLF.
-func WriteID(w io.Writer, id ID) error {
-	line := id.String() + "\r\n"
-	if len(line) > MaxIDLen {
-		return ErrIDTooLong
+	b = append(b, "\r\n"...)
+	if len(b)-start > MaxIDLen {
+		return b[:start], ErrIDTooLong
 	}
-	_, err := io.WriteString(w, line)
-	return err
+	return b, nil
 }
 
 // ReadID reads the peer's identification string, skipping any pre-ID banner
-// lines a server is allowed to send (RFC 4253 §4.2).
+// lines a server is allowed to send (RFC 4253 §4.2). The ID line is the
+// only one converted to a string; its fields share that one allocation.
+// br's buffer must hold more than MaxIDLen bytes, as bufio's default does.
 func ReadID(br *bufio.Reader) (ID, error) {
 	for i := 0; i < MaxBannerLines; i++ {
 		line, err := readLine(br)
 		if err != nil {
 			return ID{}, err
 		}
-		if strings.HasPrefix(line, "SSH-") {
-			return parseID(line)
+		if bytes.HasPrefix(line, []byte("SSH-")) {
+			return parseID(string(line))
 		}
 	}
 	return ID{}, ErrNotSSH
 }
 
-func readLine(br *bufio.Reader) (string, error) {
-	var b strings.Builder
-	for {
-		c, err := br.ReadByte()
-		if err != nil {
-			return "", err
-		}
-		if c == '\n' {
-			return strings.TrimSuffix(b.String(), "\r"), nil
-		}
-		if b.Len() >= MaxIDLen {
-			return "", ErrIDTooLong
-		}
-		b.WriteByte(c)
+// readLine returns the next line from br without its LF and one trailing
+// CR, as a view into br's buffer valid until the next read. A line of more
+// than MaxIDLen bytes before its LF is ErrIDTooLong, even when the peer
+// stops sending mid-line.
+func readLine(br *bufio.Reader) ([]byte, error) {
+	line, err := br.ReadSlice('\n')
+	if err == nil {
+		line = line[:len(line)-1]
 	}
+	if len(line) > MaxIDLen || err == bufio.ErrBufferFull {
+		return nil, ErrIDTooLong
+	}
+	if err != nil {
+		return nil, err
+	}
+	return bytes.TrimSuffix(line, []byte{'\r'}), nil
 }
 
 func parseID(line string) (ID, error) {
@@ -117,51 +120,59 @@ func parseID(line string) (ID, error) {
 	return id, nil
 }
 
-// WritePacket sends one unencrypted SSH binary packet (RFC 4253 §6):
-// uint32 packet_length, byte padding_length, payload, random padding.
-// Block size 8 applies before encryption; padding is at least 4 bytes.
-func WritePacket(w io.Writer, payload []byte) error {
+// PacketHeaderLen is the framing in front of a packet's payload: uint32
+// packet_length and byte padding_length.
+const PacketHeaderLen = 5
+
+// AppendPacket appends one unencrypted SSH binary packet (RFC 4253 §6) to
+// b: uint32 packet_length, byte padding_length, payload, padding. Block
+// size 8 applies before encryption; padding is at least 4 bytes.
+func AppendPacket(b []byte, payload []byte) ([]byte, error) {
 	const block = 8
 	// packet_length covers padding_length byte + payload + padding.
-	padLen := block - (5+len(payload))%block
+	padLen := block - (PacketHeaderLen+len(payload))%block
 	if padLen < 4 {
 		padLen += block
 	}
 	total := 1 + len(payload) + padLen
 	if total+4 > MaxPacketLen {
-		return ErrPacketTooBig
+		return b, ErrPacketTooBig
 	}
-	buf := make([]byte, 4+total)
-	binary.BigEndian.PutUint32(buf, uint32(total))
-	buf[4] = byte(padLen)
-	copy(buf[5:], payload)
+	b = binary.BigEndian.AppendUint32(b, uint32(total))
+	b = append(b, byte(padLen))
+	b = append(b, payload...)
 	// Padding bytes: arbitrary; deterministic here.
 	for i := 0; i < padLen; i++ {
-		buf[5+len(payload)+i] = byte(i * 37)
+		b = append(b, byte(i*37))
 	}
-	_, err := w.Write(buf)
-	return err
+	return b, nil
 }
 
-// ReadPacket reads one unencrypted SSH binary packet and returns its payload.
-func ReadPacket(r io.Reader) ([]byte, error) {
-	var lenBuf [4]byte
-	if _, err := io.ReadFull(r, lenBuf[:]); err != nil {
-		return nil, err
+// ReadPacket reads one unencrypted SSH binary packet from r and appends
+// its payload to b. The packet is read straight into b's spare capacity,
+// so a b with room for it costs no allocation.
+func ReadPacket(b []byte, r io.Reader) ([]byte, error) {
+	n := len(b)
+	b = slices.Grow(b, 4)
+	lenBuf := b[n : n+4]
+	if _, err := io.ReadFull(r, lenBuf); err != nil {
+		return b[:n], err
 	}
-	pktLen := binary.BigEndian.Uint32(lenBuf[:])
+	pktLen := binary.BigEndian.Uint32(lenBuf)
 	if pktLen < 5 || pktLen > MaxPacketLen {
-		return nil, ErrPacketTooBig
+		return b[:n], ErrPacketTooBig
 	}
-	body := make([]byte, pktLen)
+	b = slices.Grow(b, int(pktLen))
+	body := b[n : n+int(pktLen)]
 	if _, err := io.ReadFull(r, body); err != nil {
-		return nil, err
+		return b[:n], err
 	}
 	padLen := int(body[0])
 	if padLen < 4 || 1+padLen > int(pktLen) {
-		return nil, ErrMalformed
+		return b[:n], ErrMalformed
 	}
-	return body[1 : int(pktLen)-padLen], nil
+	// Shift the payload over the padding_length byte.
+	return b[:n+copy(body, body[1:int(pktLen)-padLen])], nil
 }
 
 // KexInit is the SSH_MSG_KEXINIT message (RFC 4253 §7.1).
@@ -193,16 +204,25 @@ func DefaultKexInit(key rng.Key) *KexInit {
 		CompressionClientServer: []string{"none"},
 		CompressionServerClient: []string{"none"},
 	}
-	s := key.Stream(0x6b6578) // "kex"
-	for i := 0; i < 16; i += 8 {
-		binary.BigEndian.PutUint64(k.Cookie[i:], s.Uint64())
-	}
+	PutCookie(k.Cookie[:], key)
 	return k
 }
 
-// Marshal encodes the KEXINIT payload, including the leading message byte.
-func (k *KexInit) Marshal() []byte {
-	var b []byte
+// CookieOffset is the offset of the 16-byte cookie in a KEXINIT payload,
+// after the message byte. A server that sends one KEXINIT to many peers
+// can encode it once and patch only the cookie (PutCookie) per peer.
+const CookieOffset = 1
+
+// PutCookie writes the 16-byte KEXINIT cookie derived from key into dst.
+func PutCookie(dst []byte, key rng.Key) {
+	s := key.Stream(0x6b6578) // "kex"
+	binary.BigEndian.PutUint64(dst[0:8], s.Uint64())
+	binary.BigEndian.PutUint64(dst[8:16], s.Uint64())
+}
+
+// Append appends the KEXINIT payload, including the leading message byte,
+// to b.
+func (k *KexInit) Append(b []byte) []byte {
 	b = append(b, MsgKexInit)
 	b = append(b, k.Cookie[:]...)
 	for _, list := range k.nameLists() {
@@ -213,8 +233,7 @@ func (k *KexInit) Marshal() []byte {
 	} else {
 		b = append(b, 0)
 	}
-	b = append(b, 0, 0, 0, 0) // reserved uint32
-	return b
+	return append(b, 0, 0, 0, 0) // reserved uint32
 }
 
 // ParseKexInit decodes a KEXINIT payload (starting at the message byte).
@@ -251,11 +270,18 @@ func (k *KexInit) nameLists() []*[]string {
 }
 
 func appendNameList(b []byte, names []string) []byte {
-	s := strings.Join(names, ",")
-	var l [4]byte
-	binary.BigEndian.PutUint32(l[:], uint32(len(s)))
-	b = append(b, l[:]...)
-	return append(b, s...)
+	n := max(len(names)-1, 0) // commas
+	for _, name := range names {
+		n += len(name)
+	}
+	b = binary.BigEndian.AppendUint32(b, uint32(n))
+	for i, name := range names {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, name...)
+	}
+	return b
 }
 
 func readNameList(b []byte) ([]string, []byte, error) {

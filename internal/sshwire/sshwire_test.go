@@ -3,6 +3,7 @@ package sshwire
 import (
 	"bufio"
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -11,15 +12,15 @@ import (
 )
 
 func TestIDRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
 	id := ID{ProtoVersion: "2.0", SoftwareVersion: "OpenSSH_7.4", Comments: "Debian-10"}
-	if err := WriteID(&buf, id); err != nil {
+	line, err := AppendID(nil, id)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if got := buf.String(); got != "SSH-2.0-OpenSSH_7.4 Debian-10\r\n" {
+	if got := string(line); got != "SSH-2.0-OpenSSH_7.4 Debian-10\r\n" {
 		t.Errorf("wire = %q", got)
 	}
-	parsed, err := ReadID(bufio.NewReader(&buf))
+	parsed, err := ReadID(bufio.NewReader(bytes.NewReader(line)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,6 +57,36 @@ func TestReadIDRejectsOverlongLine(t *testing.T) {
 	}
 }
 
+// TestReadIDLineBound pins the line bound at its edges: MaxIDLen bytes
+// before the LF are accepted, one more is ErrIDTooLong — also when the
+// peer stops mid-line, where a shorter partial line reports the read
+// error instead.
+func TestReadIDLineBound(t *testing.T) {
+	id := "SSH-2.0-" + strings.Repeat("v", MaxIDLen-len("SSH-2.0-"))
+	for _, tc := range []struct {
+		raw  string
+		want error
+	}{
+		{id + "\n", nil},
+		{id + "x\n", ErrIDTooLong},
+		{id[:MaxIDLen-1] + "\r\n", nil},
+		{id + "x", ErrIDTooLong},
+		{id, io.EOF},
+		{"", io.EOF},
+	} {
+		_, err := ReadID(bufio.NewReader(strings.NewReader(tc.raw)))
+		if err != tc.want {
+			t.Errorf("line of %d bytes: err = %v, want %v", len(tc.raw), err, tc.want)
+		}
+	}
+	if _, err := AppendID(nil, ID{ProtoVersion: "2.0", SoftwareVersion: id[8 : MaxIDLen-2]}); err != nil {
+		t.Errorf("ID line of MaxIDLen bytes rejected: %v", err)
+	}
+	if b, err := AppendID([]byte("x"), ID{ProtoVersion: "2.0", SoftwareVersion: id[8 : MaxIDLen-1]}); err != ErrIDTooLong || string(b) != "x" {
+		t.Errorf("overlong ID line: %q, %v", b, err)
+	}
+}
+
 func TestParseIDVariants(t *testing.T) {
 	id, err := parseID("SSH-1.99-old")
 	if err != nil || id.ProtoVersion != "1.99" || id.SoftwareVersion != "old" {
@@ -69,16 +100,16 @@ func TestParseIDVariants(t *testing.T) {
 }
 
 func TestPacketRoundTrip(t *testing.T) {
-	var buf bytes.Buffer
 	payload := []byte{MsgKexInit, 1, 2, 3, 4, 5}
-	if err := WritePacket(&buf, payload); err != nil {
+	pkt, err := AppendPacket(nil, payload)
+	if err != nil {
 		t.Fatal(err)
 	}
 	// RFC 4253: total length multiple of 8 (pre-encryption block).
-	if buf.Len()%8 != 0 {
-		t.Errorf("packet length %d not a multiple of 8", buf.Len())
+	if len(pkt)%8 != 0 {
+		t.Errorf("packet length %d not a multiple of 8", len(pkt))
 	}
-	got, err := ReadPacket(&buf)
+	got, err := ReadPacket(nil, bytes.NewReader(pkt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,12 +123,12 @@ func TestPacketRoundTripProperty(t *testing.T) {
 		if len(payload) > 30000 {
 			payload = payload[:30000]
 		}
-		var buf bytes.Buffer
-		if err := WritePacket(&buf, payload); err != nil {
+		pkt, err := AppendPacket(nil, payload)
+		if err != nil {
 			return false
 		}
-		got, err := ReadPacket(&buf)
-		return err == nil && bytes.Equal(got, payload)
+		got, err := ReadPacket([]byte("prefix"), bytes.NewReader(pkt))
+		return err == nil && string(got[:6]) == "prefix" && bytes.Equal(got[6:], payload)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -106,24 +137,23 @@ func TestPacketRoundTripProperty(t *testing.T) {
 
 func TestReadPacketRejectsBadLengths(t *testing.T) {
 	// Packet length below minimum.
-	if _, err := ReadPacket(bytes.NewReader([]byte{0, 0, 0, 2, 0, 0})); err == nil {
+	if _, err := ReadPacket(nil, bytes.NewReader([]byte{0, 0, 0, 2, 0, 0})); err == nil {
 		t.Error("undersized packet accepted")
 	}
 	// Oversized.
-	if _, err := ReadPacket(bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff})); err != ErrPacketTooBig {
+	if _, err := ReadPacket(nil, bytes.NewReader([]byte{0xff, 0xff, 0xff, 0xff})); err != ErrPacketTooBig {
 		t.Error("oversized packet accepted")
 	}
 	// Padding larger than packet.
-	var buf bytes.Buffer
-	buf.Write([]byte{0, 0, 0, 8, 200, 0, 0, 0, 0, 0, 0, 0})
-	if _, err := ReadPacket(&buf); err != ErrMalformed {
+	bad := []byte{0, 0, 0, 8, 200, 0, 0, 0, 0, 0, 0, 0}
+	if _, err := ReadPacket(nil, bytes.NewReader(bad)); err != ErrMalformed {
 		t.Errorf("bad padding err = %v", err)
 	}
 }
 
 func TestKexInitRoundTrip(t *testing.T) {
 	k := DefaultKexInit(rng.NewKey(5).Derive("host"))
-	payload := k.Marshal()
+	payload := k.Append(nil)
 	if payload[0] != MsgKexInit {
 		t.Fatalf("message type = %d", payload[0])
 	}
@@ -146,12 +176,12 @@ func TestKexInitRoundTrip(t *testing.T) {
 }
 
 func TestKexInitOverWire(t *testing.T) {
-	var buf bytes.Buffer
 	k := DefaultKexInit(rng.NewKey(6).Derive("host"))
-	if err := WritePacket(&buf, k.Marshal()); err != nil {
+	pkt, err := AppendPacket(nil, k.Append(nil))
+	if err != nil {
 		t.Fatal(err)
 	}
-	payload, err := ReadPacket(&buf)
+	payload, err := ReadPacket(nil, bytes.NewReader(pkt))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -185,5 +215,16 @@ func TestDefaultKexInitDeterministic(t *testing.T) {
 	c := DefaultKexInit(rng.NewKey(8))
 	if a.Cookie == c.Cookie {
 		t.Error("different keys produced same cookie")
+	}
+}
+
+// TestKexInitCookiePatch: patching a cookie into an encoded KEXINIT at
+// CookieOffset yields exactly the KEXINIT encoded with that cookie.
+func TestKexInitCookiePatch(t *testing.T) {
+	template := DefaultKexInit(rng.NewKey(9)).Append(nil)
+	key := rng.NewKey(10)
+	PutCookie(template[CookieOffset:], key)
+	if want := DefaultKexInit(key).Append(nil); !bytes.Equal(template, want) {
+		t.Errorf("patched KEXINIT differs from a freshly encoded one")
 	}
 }

@@ -5,6 +5,10 @@
 // considers a host accessible once the server's handshake flight parses, so
 // no key exchange or record encryption is implemented — but every byte
 // exchanged is valid TLS 1.2 that a real stack would produce or accept.
+//
+// Encoders append whole records to a caller-owned byte slice, framing the
+// record and handshake headers in place in front of the body; decoders
+// parse in place, returning views into the bytes they were given.
 package tlslite
 
 import (
@@ -12,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/rng"
 )
@@ -63,16 +68,22 @@ var (
 	ErrAlert        = errors.New("tlslite: received fatal alert")
 )
 
-// ClientHello is the first client flight.
+// ClientHello is the first client flight. A parsed ClientHello's byte
+// fields are views into the message body it was parsed from.
 type ClientHello struct {
 	Version      uint16
 	Random       [32]byte
 	SessionID    []byte
 	CipherSuites []uint16
-	ServerName   string // SNI extension, empty to omit
+	ServerName   []byte // SNI extension host name, empty to omit
+
+	// suites is ParseClientHello's reusable storage for CipherSuites, so
+	// decoding never writes into a caller's (or ChromeTLS12Suites') slice.
+	suites []uint16
 }
 
-// ServerHello is the server's handshake response.
+// ServerHello is the server's handshake response. A parsed ServerHello's
+// SessionID is a view into the message body it was parsed from.
 type ServerHello struct {
 	Version     uint16
 	Random      [32]byte
@@ -81,15 +92,16 @@ type ServerHello struct {
 	Compression uint8
 }
 
-// Certificate carries the server certificate chain as opaque DER blobs.
+// Certificate carries the server certificate chain as opaque DER blobs,
+// each a view into the message body it was parsed from.
 type Certificate struct {
 	Chain [][]byte
 }
 
 // NewClientHello builds a Chrome-shaped ClientHello with a random derived
-// from key.
-func NewClientHello(key rng.Key, serverName string) *ClientHello {
-	ch := &ClientHello{
+// from key. serverName is referenced, not copied.
+func NewClientHello(key rng.Key, serverName []byte) ClientHello {
+	ch := ClientHello{
 		Version:      VersionTLS12,
 		CipherSuites: ChromeTLS12Suites,
 		ServerName:   serverName,
@@ -103,79 +115,102 @@ func NewClientHello(key rng.Key, serverName string) *ClientHello {
 
 // --- record layer ---
 
-// WriteRecord frames payload as one TLS record.
-func WriteRecord(w io.Writer, contentType uint8, payload []byte) error {
+// recordHeaderLen and handshakeHeaderLen are the framing in front of a
+// handshake message body: content type, version, uint16 length; then
+// message type and uint24 length.
+const (
+	recordHeaderLen    = 5
+	handshakeHeaderLen = 4
+)
+
+// AppendRecord appends payload framed as one TLS record to b.
+func AppendRecord(b []byte, contentType uint8, payload []byte) ([]byte, error) {
 	if len(payload) > MaxRecordLen {
-		return ErrRecordTooBig
+		return b, ErrRecordTooBig
 	}
-	hdr := [5]byte{contentType, byte(VersionTLS12 >> 8), byte(VersionTLS12 & 0xff)}
-	binary.BigEndian.PutUint16(hdr[3:], uint16(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := w.Write(payload)
-	return err
+	b = append(b, contentType, byte(VersionTLS12>>8), byte(VersionTLS12&0xff),
+		byte(len(payload)>>8), byte(len(payload)))
+	return append(b, payload...), nil
 }
 
-// ReadRecord reads one TLS record, returning its content type and payload.
-func ReadRecord(r io.Reader) (uint8, []byte, error) {
-	var hdr [5]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return 0, nil, err
-	}
-	n := binary.BigEndian.Uint16(hdr[3:])
-	if int(n) > MaxRecordLen {
-		return 0, nil, ErrRecordTooBig
-	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(r, payload); err != nil {
-		return 0, nil, err
-	}
-	return hdr[0], payload, nil
-}
-
-// HandshakeReader assembles handshake messages across records.
+// HandshakeReader assembles handshake messages across records. Records
+// are read straight into its reassembly buffer, which Reset keeps, so one
+// reader serves any number of connections without reallocating.
 type HandshakeReader struct {
 	r   io.Reader
-	buf []byte
+	buf []byte // buf[off:] holds the unconsumed handshake bytes
+	off int
 }
 
 // NewHandshakeReader returns a reader over r.
 func NewHandshakeReader(r io.Reader) *HandshakeReader {
-	return &HandshakeReader{r: r}
+	h := new(HandshakeReader)
+	h.Reset(r)
+	return h
 }
 
-// Next returns the next handshake message (type and body). A fatal alert
-// record yields ErrAlert.
+// Reset discards any buffered bytes and switches h to reading r, keeping
+// the reassembly buffer's capacity.
+func (h *HandshakeReader) Reset(r io.Reader) {
+	h.r = r
+	h.buf = h.buf[:0]
+	h.off = 0
+}
+
+// Next returns the next handshake message (type and body). The body is a
+// view into h's buffer, valid until the next call to Next or Reset. A
+// fatal alert record yields ErrAlert.
 func (h *HandshakeReader) Next() (uint8, []byte, error) {
-	for len(h.buf) < 4 {
+	for len(h.buf)-h.off < handshakeHeaderLen {
 		if err := h.fill(); err != nil {
 			return 0, nil, err
 		}
 	}
-	msgType := h.buf[0]
-	msgLen := int(h.buf[1])<<16 | int(h.buf[2])<<8 | int(h.buf[3])
+	hdr := h.buf[h.off:]
+	msgType := hdr[0]
+	msgLen := int(hdr[1])<<16 | int(hdr[2])<<8 | int(hdr[3])
 	if msgLen > MaxHandshakeLen {
 		return 0, nil, ErrMalformed
 	}
-	for len(h.buf) < 4+msgLen {
+	for len(h.buf)-h.off < handshakeHeaderLen+msgLen {
 		if err := h.fill(); err != nil {
 			return 0, nil, err
 		}
 	}
-	body := h.buf[4 : 4+msgLen]
-	h.buf = h.buf[4+msgLen:]
-	return msgType, body, nil
+	start := h.off + handshakeHeaderLen
+	h.off = start + msgLen
+	return msgType, h.buf[start:h.off], nil
 }
 
+// fill reads one record, appending a handshake payload to the reassembly
+// buffer. The record header is read into the space the payload then
+// overwrites, so a record costs no allocation once the buffer has grown.
 func (h *HandshakeReader) fill() error {
-	ct, payload, err := ReadRecord(h.r)
-	if err != nil {
+	if h.off > 0 {
+		// Drop consumed messages (invalidating their bodies, as Next
+		// documents) before growing.
+		h.buf = h.buf[:copy(h.buf, h.buf[h.off:])]
+		h.off = 0
+	}
+	n := len(h.buf)
+	h.buf = slices.Grow(h.buf, recordHeaderLen)
+	hdr := h.buf[n : n+recordHeaderLen]
+	if _, err := io.ReadFull(h.r, hdr); err != nil {
+		return err
+	}
+	ct := hdr[0]
+	l := int(binary.BigEndian.Uint16(hdr[3:]))
+	if l > MaxRecordLen {
+		return ErrRecordTooBig
+	}
+	h.buf = slices.Grow(h.buf, l)
+	payload := h.buf[n : n+l]
+	if _, err := io.ReadFull(h.r, payload); err != nil {
 		return err
 	}
 	switch ct {
 	case RecordHandshake:
-		h.buf = append(h.buf, payload...)
+		h.buf = h.buf[:n+l]
 		return nil
 	case RecordAlert:
 		return ErrAlert
@@ -184,22 +219,42 @@ func (h *HandshakeReader) fill() error {
 	}
 }
 
-// writeHandshake frames body as a handshake message in one record.
-func writeHandshake(w io.Writer, msgType uint8, body []byte) error {
-	msg := make([]byte, 4+len(body))
-	msg[0] = msgType
-	msg[1] = byte(len(body) >> 16)
-	msg[2] = byte(len(body) >> 8)
-	msg[3] = byte(len(body))
-	copy(msg[4:], body)
-	return WriteRecord(w, RecordHandshake, msg)
+// beginHandshake appends a record header and a handshake header for
+// msgType, both with lengths left for endHandshake to patch once the body
+// has been appended after them. It returns the record's offset in b.
+func beginHandshake(b []byte, msgType uint8) ([]byte, int) {
+	start := len(b)
+	b = append(b, RecordHandshake, byte(VersionTLS12>>8), byte(VersionTLS12&0xff), 0, 0,
+		msgType, 0, 0, 0)
+	return b, start
+}
+
+// endHandshake patches the record and handshake lengths of the message
+// begun at offset start. A message too long for one record is removed
+// again and reported as ErrRecordTooBig.
+func endHandshake(b []byte, start int) ([]byte, error) {
+	msg := len(b) - start - recordHeaderLen
+	if msg > MaxRecordLen {
+		return b[:start], ErrRecordTooBig
+	}
+	body := msg - handshakeHeaderLen
+	binary.BigEndian.PutUint16(b[start+3:], uint16(msg))
+	b[start+6] = byte(body >> 16)
+	b[start+7] = byte(body >> 8)
+	b[start+8] = byte(body)
+	return b, nil
 }
 
 // --- ClientHello ---
 
-// Marshal encodes the ClientHello body (without the handshake header).
-func (ch *ClientHello) Marshal() []byte {
-	var b []byte
+// Append appends the ClientHello as one handshake record to b.
+func (ch *ClientHello) Append(b []byte) ([]byte, error) {
+	b, start := beginHandshake(b, TypeClientHello)
+	return endHandshake(ch.appendBody(b), start)
+}
+
+// appendBody appends the ClientHello body (without the handshake header).
+func (ch *ClientHello) appendBody(b []byte) []byte {
 	b = append(b, byte(ch.Version>>8), byte(ch.Version))
 	b = append(b, ch.Random[:]...)
 	b = append(b, byte(len(ch.SessionID)))
@@ -209,72 +264,62 @@ func (ch *ClientHello) Marshal() []byte {
 		b = append(b, byte(cs>>8), byte(cs))
 	}
 	b = append(b, 1, 0) // compression: null only
-	// Extensions.
-	var ext []byte
-	if ch.ServerName != "" {
-		ext = append(ext, sniExtension(ch.ServerName)...)
+	// Extensions: at most server_name, with one host_name entry.
+	if n := len(ch.ServerName); n > 0 {
+		b = append(b, byte((n+9)>>8), byte(n+9)) // extensions length
+		b = append(b, 0, 0)                      // type server_name
+		b = append(b, byte((n+5)>>8), byte(n+5)) // extension data length
+		b = append(b, byte((n+3)>>8), byte(n+3)) // server_name_list length
+		b = append(b, 0)                         // name_type host_name
+		b = append(b, byte(n>>8), byte(n))
+		return append(b, ch.ServerName...)
 	}
-	b = append(b, byte(len(ext)>>8), byte(len(ext)))
-	b = append(b, ext...)
-	return b
+	return append(b, 0, 0)
 }
 
-func sniExtension(name string) []byte {
-	// extension type 0, server_name_list with one host_name entry.
-	inner := make([]byte, 0, len(name)+5)
-	inner = append(inner, 0) // name_type host_name
-	inner = append(inner, byte(len(name)>>8), byte(len(name)))
-	inner = append(inner, name...)
-	list := make([]byte, 0, len(inner)+2)
-	list = append(list, byte(len(inner)>>8), byte(len(inner)))
-	list = append(list, inner...)
-	ext := make([]byte, 0, len(list)+4)
-	ext = append(ext, 0, 0) // type server_name
-	ext = append(ext, byte(len(list)>>8), byte(len(list)))
-	ext = append(ext, list...)
-	return ext
-}
-
-// ParseClientHello decodes a ClientHello body.
-func ParseClientHello(b []byte) (*ClientHello, error) {
-	ch := &ClientHello{}
+// ParseClientHello decodes a ClientHello body into ch. SessionID and
+// ServerName become views into b; CipherSuites reuses storage ch owns.
+func ParseClientHello(b []byte, ch *ClientHello) error {
 	if len(b) < 2+32+1 {
-		return nil, ErrMalformed
+		return ErrMalformed
 	}
 	ch.Version = binary.BigEndian.Uint16(b)
 	copy(ch.Random[:], b[2:34])
 	b = b[34:]
 	sidLen := int(b[0])
 	if len(b) < 1+sidLen+2 {
-		return nil, ErrMalformed
+		return ErrMalformed
 	}
-	ch.SessionID = append([]byte(nil), b[1:1+sidLen]...)
+	ch.SessionID = b[1 : 1+sidLen]
 	b = b[1+sidLen:]
 	csLen := int(binary.BigEndian.Uint16(b))
 	if csLen%2 != 0 || len(b) < 2+csLen+1 {
-		return nil, ErrMalformed
+		return ErrMalformed
 	}
+	ch.suites = ch.suites[:0]
 	for i := 0; i < csLen; i += 2 {
-		ch.CipherSuites = append(ch.CipherSuites, binary.BigEndian.Uint16(b[2+i:]))
+		ch.suites = append(ch.suites, binary.BigEndian.Uint16(b[2+i:]))
 	}
+	ch.CipherSuites = ch.suites
+	ch.ServerName = nil
 	b = b[2+csLen:]
 	compLen := int(b[0])
 	if len(b) < 1+compLen {
-		return nil, ErrMalformed
+		return ErrMalformed
 	}
 	b = b[1+compLen:]
 	// Extensions (optional).
 	if len(b) >= 2 {
 		extLen := int(binary.BigEndian.Uint16(b))
 		if len(b) < 2+extLen {
-			return nil, ErrMalformed
+			return ErrMalformed
 		}
 		ext := b[2 : 2+extLen]
 		for len(ext) >= 4 {
 			typ := binary.BigEndian.Uint16(ext)
 			l := int(binary.BigEndian.Uint16(ext[2:]))
 			if len(ext) < 4+l {
-				return nil, ErrMalformed
+				return ErrMalformed
 			}
 			if typ == 0 { // server_name
 				if name, err := parseSNI(ext[4 : 4+l]); err == nil {
@@ -284,122 +329,116 @@ func ParseClientHello(b []byte) (*ClientHello, error) {
 			ext = ext[4+l:]
 		}
 	}
-	return ch, nil
+	return nil
 }
 
-func parseSNI(b []byte) (string, error) {
+func parseSNI(b []byte) ([]byte, error) {
 	if len(b) < 2 {
-		return "", ErrMalformed
+		return nil, ErrMalformed
 	}
 	listLen := int(binary.BigEndian.Uint16(b))
 	if len(b) < 2+listLen || listLen < 3 {
-		return "", ErrMalformed
+		return nil, ErrMalformed
 	}
 	entry := b[2 : 2+listLen]
 	if entry[0] != 0 {
-		return "", ErrMalformed
+		return nil, ErrMalformed
 	}
 	n := int(binary.BigEndian.Uint16(entry[1:]))
 	if len(entry) < 3+n {
-		return "", ErrMalformed
+		return nil, ErrMalformed
 	}
-	return string(entry[3 : 3+n]), nil
-}
-
-// WriteClientHello sends the ClientHello as a handshake record.
-func (ch *ClientHello) Write(w io.Writer) error {
-	return writeHandshake(w, TypeClientHello, ch.Marshal())
+	return entry[3 : 3+n], nil
 }
 
 // --- ServerHello ---
 
-// Marshal encodes the ServerHello body.
-func (sh *ServerHello) Marshal() []byte {
-	var b []byte
+// Append appends the ServerHello as one handshake record to b.
+func (sh *ServerHello) Append(b []byte) ([]byte, error) {
+	b, start := beginHandshake(b, TypeServerHello)
 	b = append(b, byte(sh.Version>>8), byte(sh.Version))
 	b = append(b, sh.Random[:]...)
 	b = append(b, byte(len(sh.SessionID)))
 	b = append(b, sh.SessionID...)
 	b = append(b, byte(sh.CipherSuite>>8), byte(sh.CipherSuite))
 	b = append(b, sh.Compression)
-	return b
+	return endHandshake(b, start)
 }
 
-// ParseServerHello decodes a ServerHello body.
-func ParseServerHello(b []byte) (*ServerHello, error) {
-	sh := &ServerHello{}
+// ParseServerHello decodes a ServerHello body into sh; SessionID becomes a
+// view into b.
+func ParseServerHello(b []byte, sh *ServerHello) error {
 	if len(b) < 2+32+1 {
-		return nil, ErrMalformed
+		return ErrMalformed
 	}
 	sh.Version = binary.BigEndian.Uint16(b)
 	copy(sh.Random[:], b[2:34])
 	b = b[34:]
 	sidLen := int(b[0])
 	if len(b) < 1+sidLen+3 {
-		return nil, ErrMalformed
+		return ErrMalformed
 	}
-	sh.SessionID = append([]byte(nil), b[1:1+sidLen]...)
+	sh.SessionID = b[1 : 1+sidLen]
 	b = b[1+sidLen:]
 	sh.CipherSuite = binary.BigEndian.Uint16(b)
 	sh.Compression = b[2]
-	return sh, nil
-}
-
-// Write sends the ServerHello as a handshake record.
-func (sh *ServerHello) Write(w io.Writer) error {
-	return writeHandshake(w, TypeServerHello, sh.Marshal())
+	return nil
 }
 
 // --- Certificate ---
 
-// Marshal encodes the Certificate body.
-func (c *Certificate) Marshal() []byte {
-	var inner []byte
-	for _, cert := range c.Chain {
-		inner = append(inner, byte(len(cert)>>16), byte(len(cert)>>8), byte(len(cert)))
-		inner = append(inner, cert...)
+// AppendCertificate appends a Certificate message carrying a one-entry
+// chain of n bytes, as one handshake record, to b. It returns the extended
+// slice and the entry's n (zeroed) bytes, for the caller to write the
+// certificate into in place.
+func AppendCertificate(b []byte, n int) ([]byte, []byte, error) {
+	b, start := beginHandshake(b, TypeCertificate)
+	b = append(b, byte((n+3)>>16), byte((n+3)>>8), byte(n+3)) // chain length
+	b = append(b, byte(n>>16), byte(n>>8), byte(n))           // entry length
+	b = append(b, make([]byte, n)...)
+	b, err := endHandshake(b, start)
+	if err != nil {
+		return b, nil, err
 	}
-	b := make([]byte, 0, 3+len(inner))
-	b = append(b, byte(len(inner)>>16), byte(len(inner)>>8), byte(len(inner)))
-	return append(b, inner...)
+	return b, b[len(b)-n:], nil
 }
 
-// ParseCertificate decodes a Certificate body.
-func ParseCertificate(b []byte) (*Certificate, error) {
+// ParseCertificate decodes a Certificate body into c; the chain entries
+// become views into b and c.Chain's storage is reused.
+func ParseCertificate(b []byte, c *Certificate) error {
+	c.Chain = c.Chain[:0]
 	if len(b) < 3 {
-		return nil, ErrMalformed
+		return ErrMalformed
 	}
 	total := int(b[0])<<16 | int(b[1])<<8 | int(b[2])
 	if len(b) < 3+total {
-		return nil, ErrMalformed
+		return ErrMalformed
 	}
 	inner := b[3 : 3+total]
-	c := &Certificate{}
 	for len(inner) > 0 {
 		if len(inner) < 3 {
-			return nil, ErrMalformed
+			return ErrMalformed
 		}
 		n := int(inner[0])<<16 | int(inner[1])<<8 | int(inner[2])
 		if len(inner) < 3+n {
-			return nil, ErrMalformed
+			return ErrMalformed
 		}
-		c.Chain = append(c.Chain, append([]byte(nil), inner[3:3+n]...))
+		c.Chain = append(c.Chain, inner[3:3+n])
 		inner = inner[3+n:]
 	}
-	return c, nil
+	return nil
 }
 
-// Write sends the Certificate as a handshake record.
-func (c *Certificate) Write(w io.Writer) error {
-	return writeHandshake(w, TypeCertificate, c.Marshal())
+// AppendServerHelloDone appends the (empty) ServerHelloDone message, as
+// one handshake record, to b.
+func AppendServerHelloDone(b []byte) []byte {
+	b, start := beginHandshake(b, TypeServerHelloDone)
+	b, _ = endHandshake(b, start) // an empty body always fits
+	return b
 }
 
-// WriteServerHelloDone sends the (empty) ServerHelloDone message.
-func WriteServerHelloDone(w io.Writer) error {
-	return writeHandshake(w, TypeServerHelloDone, nil)
-}
-
-// WriteAlert sends a two-byte alert record (level, description).
-func WriteAlert(w io.Writer, level, desc uint8) error {
-	return WriteRecord(w, RecordAlert, []byte{level, desc})
+// AppendAlert appends a two-byte alert record (level, description) to b.
+func AppendAlert(b []byte, level, desc uint8) []byte {
+	b, _ = AppendRecord(b, RecordAlert, []byte{level, desc}) // two bytes always fit
+	return b
 }

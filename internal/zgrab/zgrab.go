@@ -8,13 +8,14 @@
 package zgrab
 
 import (
+	"bufio"
 	"context"
 	"errors"
 	"io"
 	"net"
+	"sync"
 	"time"
 
-	"repro/internal/bufpool"
 	"repro/internal/httpwire"
 	"repro/internal/ip"
 	"repro/internal/proto"
@@ -224,17 +225,44 @@ func (g *Grabber) exchange(conn net.Conn, p proto.Protocol, dst ip.Addr, res *Re
 	if g.Metrics != nil {
 		hsStart = time.Now()
 	}
+	sc := scratches.Get().(*scratch)
 	switch p {
 	case proto.HTTP:
-		grabHTTP(conn, dst, res)
+		grabHTTP(sc, conn, dst, res)
 	case proto.HTTPS:
-		grabTLS(conn, dst, g.Key, res)
+		grabTLS(sc, conn, dst, g.Key, res)
 	case proto.SSH:
-		grabSSH(conn, res)
+		grabSSH(sc, conn, res)
 	}
+	sc.put()
 	if g.Metrics != nil {
 		g.Metrics.HandshakeSeconds.ObserveDuration(time.Since(hsStart))
 	}
+}
+
+// scratch is one grab's reusable exchange state: the encoded client
+// flight, the read buffer, and the decoders' storage. Pooled, so a grab
+// allocates nothing for its exchange once the pool is warm; the only
+// per-grab garbage is the Result's banner, which is always a fresh string
+// (it outlives the grab in the result store, so it must never alias
+// scratch memory).
+type scratch struct {
+	out  []byte
+	sni  []byte
+	br   bufio.Reader
+	cr   countingReader
+	resp httpwire.Response
+	hs   tlslite.HandshakeReader
+}
+
+var scratches = sync.Pool{New: func() any { return new(scratch) }}
+
+// put returns sc to the pool without pinning the connection it read.
+func (sc *scratch) put() {
+	sc.br.Reset(nil)
+	sc.cr = countingReader{}
+	sc.hs.Reset(nil)
+	scratches.Put(sc)
 }
 
 // GrabFast performs the grab for p against dst on the batched fast path:
@@ -361,39 +389,46 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// userAgent is the HTTP grab's User-Agent header.
+const userAgent = "Mozilla/5.0 zgrab/0.x"
+
 // grabHTTP sends GET / and requires a parseable status line.
-func grabHTTP(conn net.Conn, dst ip.Addr, res *Result) {
-	if err := httpwire.WriteRequest(conn, "GET", "/", dst.String(), "Mozilla/5.0 zgrab/0.x"); err != nil {
+func grabHTTP(sc *scratch, conn net.Conn, dst ip.Addr, res *Result) {
+	sc.out = httpwire.AppendRequest(sc.out[:0], "GET", "/", dst, userAgent)
+	if _, err := conn.Write(sc.out); err != nil {
 		res.Fail = classifyIOError(err, false)
 		return
 	}
-	br := bufpool.Reader(conn)
-	defer bufpool.PutReader(br)
-	resp, err := httpwire.ReadResponse(br, 16<<10)
-	if err != nil {
+	sc.br.Reset(conn)
+	if err := httpwire.ReadResponse(&sc.br, 16<<10, &sc.resp); err != nil {
 		if errors.Is(err, httpwire.ErrMalformed) || errors.Is(err, httpwire.ErrLineTooLong) {
 			res.Fail = FailProto
 			return
 		}
-		res.Fail = classifyIOError(err, br.Buffered() > 0)
+		res.Fail = classifyIOError(err, sc.br.Buffered() > 0)
 		return
 	}
 	res.Success = true
-	if sv, ok := resp.Get("Server"); ok {
-		res.Banner = sv
+	if sv, ok := sc.resp.Get("Server"); ok {
+		res.Banner = string(sv)
 	}
 }
 
 // grabTLS sends a Chrome-shaped ClientHello and requires a parseable
 // ServerHello (the paper's handshake capture).
-func grabTLS(conn net.Conn, dst ip.Addr, key rng.Key, res *Result) {
-	ch := tlslite.NewClientHello(key.DeriveN("ch", dst.Word64()), dst.String())
-	if err := ch.Write(conn); err != nil {
+func grabTLS(sc *scratch, conn net.Conn, dst ip.Addr, key rng.Key, res *Result) {
+	sc.sni = dst.AppendTo(sc.sni[:0])
+	ch := tlslite.NewClientHello(key.DeriveN("ch", dst.Word64()), sc.sni)
+	var err error
+	if sc.out, err = ch.Append(sc.out[:0]); err == nil {
+		_, err = conn.Write(sc.out)
+	}
+	if err != nil {
 		res.Fail = classifyIOError(err, false)
 		return
 	}
-	hr := tlslite.NewHandshakeReader(conn)
-	typ, body, err := hr.Next()
+	sc.hs.Reset(conn)
+	typ, body, err := sc.hs.Next()
 	if err != nil {
 		if errors.Is(err, tlslite.ErrAlert) || errors.Is(err, tlslite.ErrMalformed) {
 			res.Fail = FailProto
@@ -406,8 +441,8 @@ func grabTLS(conn net.Conn, dst ip.Addr, key rng.Key, res *Result) {
 		res.Fail = FailProto
 		return
 	}
-	sh, err := tlslite.ParseServerHello(body)
-	if err != nil {
+	var sh tlslite.ServerHello
+	if err := tlslite.ParseServerHello(body, &sh); err != nil {
 		res.Fail = FailProto
 		return
 	}
@@ -416,7 +451,7 @@ func grabTLS(conn net.Conn, dst ip.Addr, key rng.Key, res *Result) {
 	// Drain the rest of the server flight (Certificate, HelloDone) so
 	// the server sees an orderly close; errors here don't matter.
 	for i := 0; i < 4; i++ {
-		if typ, _, err := hr.Next(); err != nil || typ == tlslite.TypeServerHelloDone {
+		if typ, _, err := sc.hs.Next(); err != nil || typ == tlslite.TypeServerHelloDone {
 			break
 		}
 	}
@@ -444,21 +479,24 @@ func itoa16(v uint16) string {
 // Success is a parsed server identification, per the paper's methodology
 // ("a partial SSH handshake that terminates after the protocol version
 // exchange").
-func grabSSH(conn net.Conn, res *Result) {
-	if err := sshwire.WriteID(conn, sshwire.ID{ProtoVersion: "2.0", SoftwareVersion: "zgrab_ssh_0.x"}); err != nil {
+func grabSSH(sc *scratch, conn net.Conn, res *Result) {
+	var err error
+	if sc.out, err = sshwire.AppendID(sc.out[:0], sshwire.ID{ProtoVersion: "2.0", SoftwareVersion: "zgrab_ssh_0.x"}); err == nil {
+		_, err = conn.Write(sc.out)
+	}
+	if err != nil {
 		res.Fail = classifyIOError(err, false)
 		return
 	}
-	cr := &countingReader{r: conn}
-	br := bufpool.Reader(cr)
-	defer bufpool.PutReader(br)
-	id, err := sshwire.ReadID(br)
+	sc.cr = countingReader{r: conn}
+	sc.br.Reset(&sc.cr)
+	id, err := sshwire.ReadID(&sc.br)
 	if err != nil {
 		if errors.Is(err, sshwire.ErrNotSSH) || errors.Is(err, sshwire.ErrIDTooLong) {
 			res.Fail = FailProto
 			return
 		}
-		res.Fail = classifyIOError(err, cr.n > 0)
+		res.Fail = classifyIOError(err, sc.cr.n > 0)
 		return
 	}
 	res.Success = true

@@ -214,7 +214,7 @@ func TestGrabHTTPOverRealTCP(t *testing.T) {
 	var res Result
 	res.Proto = proto.HTTP
 	conn.SetDeadline(time.Now().Add(5 * time.Second))
-	grabHTTP(conn, ip.MustParseAddr("127.0.0.1"), &res)
+	grabHTTP(new(scratch), conn, ip.MustParseAddr("127.0.0.1"), &res)
 	if !res.Success {
 		t.Fatalf("real-TCP grab failed: %+v", res)
 	}

@@ -708,13 +708,15 @@ func (s *Scanner) RunSharded(ctx context.Context, sink PacketSink, handler func(
 
 // validateResp checks a response packet against the probe's cookie, exactly
 // as ZMap validates: correct 4-tuple and ack == seq+1 for SYN-ACKs; RSTs
-// may ack either seq+0 or seq+1 (stacks differ).
+// may ack either seq+0 or seq+1 (stacks differ). Headers decode into stack
+// scratch, so validating a reply allocates nothing.
 func (s *Scanner) validateResp(resp []byte, src, dst ip.Addr, srcPort uint16, seq uint32) (ok, rst bool) {
 	if !dst.Is4() {
 		return s.validateResp6(resp, src, dst, srcPort, seq)
 	}
-	iph, tcph, _, err := packet.DecodeTCP4(resp)
-	if err != nil {
+	var iph packet.IPv4Header
+	var tcph packet.TCPHeader
+	if _, err := packet.DecodeTCP4Into(&iph, &tcph, resp); err != nil {
 		return false, false
 	}
 	if iph.Src != dst || iph.Dst != src {

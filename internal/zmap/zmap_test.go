@@ -844,3 +844,28 @@ func BenchmarkPermutationIterate(b *testing.B) {
 		}
 	}
 }
+
+// TestValidateRespZeroAllocs: reply validation decodes both families into
+// stack headers, so validating a reply allocates nothing — it runs once
+// per answered probe.
+func TestValidateRespZeroAllocs(t *testing.T) {
+	s, err := NewScanner(testConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const srcPort, seq = 40000, 0xdead0000
+	for _, tc := range []struct{ src, dst string }{
+		{"10.99.0.1", "192.0.2.7"},
+		{"2001:db8::99", "2001:db8:1::7"},
+	} {
+		src, dst := ip.MustParseAddr(tc.src), ip.MustParseAddr(tc.dst)
+		synack := packet.MakeSYNACK(dst, src, 80, srcPort, 7, seq+1)
+		if ok, rst := s.validateResp(synack, src, dst, srcPort, seq); !ok || rst {
+			t.Fatalf("%s: valid SYN-ACK rejected (ok=%v rst=%v)", tc.dst, ok, rst)
+		}
+		allocs := testing.AllocsPerRun(100, func() { s.validateResp(synack, src, dst, srcPort, seq) })
+		if allocs != 0 {
+			t.Errorf("%s: validateResp allocates %.1f per reply, want 0", tc.dst, allocs)
+		}
+	}
+}
