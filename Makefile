@@ -88,18 +88,19 @@ bench-fullspace:
 	        -note "Before = per-address permutation walk (128-bit modmul per step, per-address ctx/telemetry checks) on the pre-batching tree; after = 4096-address batched kernel (Shoup fixed-multiplier modmul, batched FIB routed evaluation, per-batch ctx/flush) with the sparse FIB directory. BenchmarkFullSpaceSweep runs one end-to-end sweep of a forced 2^24 / 2^32 space over a streaming-build world; fib-MiB is the sparse FIB's measured footprint (budget: <= 2 GiB at space32). Batched output is bit-identical to the serial reference (golden dataset, batched-vs-serial differentials incl. sharded and mid-cancel). Single-core container; compare ratios, not absolutes." \
 	        -out BENCH_fullspace.json
 
-# Grab fast path vs the goroutine+vconn reference: ns/grab over identical
+# Grab path vs the goroutine+vconn reference: ns/grab over identical
 # per-window target sequences (every host × rotating protocol, 4096-target
-# windows). Reference = per-dial policy evaluation, a vconn pipe and a
-# dedicated server goroutine per accepted connection; Fast = one
-# PredialBatch per window plus pooled inline-served connections, zero
-# goroutines. benchjson's ratio gate (min of 3 runs per variant) enforces
+# windows). Reference = the test-side goroutine dialer in
+# internal/fabric/reference_test.go: per-target verdicts, a vconn pipe and
+# a dedicated server goroutine per accepted connection; Fast = the fabric
+# itself, one PredialBatch per window plus pooled inline-served
+# connections, zero goroutines. benchjson's ratio gate (min of 3 runs per variant) enforces
 # the tentpole's >= 2x bar; results land in BENCH_grabfast.json.
 bench-grab:
 	$(GO) test -run xxx -bench 'BenchmarkGrabReference|BenchmarkGrabFast' -benchtime 20000x -count 3 -benchmem ./internal/fabric/ | \
 	    $(GO) run ./cmd/benchjson \
 	        -command "go test -run xxx -bench 'BenchmarkGrabReference|BenchmarkGrabFast' -benchtime 20000x -count 3 -benchmem ./internal/fabric/" \
-	        -note "One L7 grab per host over a quiet Scale=2e-5 world, protocols rotating per 4096-target window so the mix covers accepted handshakes and refused dials. Reference = fabric.Dial per target + vconn pipe + server goroutine per accepted connection; Fast = fabric.PredialBatch per window + zgrab.GrabFast over pooled inline-served connections (fabric.ActiveConns()==0 asserted after the run). Sealed datasets are bit-identical across the two paths (differential tests pin every policy verdict, loss class, and retry). Both paths share the allocation-lean L7 exchange (append-style encoders, in-place decoders, pooled per-conversation scratch): on a 2-core Xeon it took the fast path from 5,098 ns, 3,873 B and 29 allocs per grab (min of 3, parent tree) to 1-2 us (min of 3 varies that much on a shared VM), about 15 B and 0 allocs (a served grab keeps 1 allocation for an HTTP banner and 2 for SSH's ID lines, which TestGrabFastAllocs pins), and the reference from 11,681 ns, 5,084 B and 41 allocs to 5-8 us, 1.1-1.2 KB and 10-11 allocs. Gate: fast/reference ns/op <= 0.5, i.e. >= 2x. Min of 3 runs per variant; machine.cores records the capture machine, compare ratios." \
+	        -note "One L7 grab per host over a quiet Scale=2e-5 world, protocols rotating per 4096-target window so the mix covers accepted handshakes and refused dials. Reference = the test-side goroutine dialer (internal/fabric/reference_test.go): per-target verdicts from its own copy of the dial decision chain + vconn pipe + server goroutine per accepted connection, behind the same zgrab.GrabFast; Fast = fabric.PredialBatch per window + zgrab.GrabFast over pooled inline-served connections (no goroutine left running, asserted after the run). Grab results are identical across the two dialers (differential tests pin every policy verdict, loss class, and retry). Both paths share the allocation-lean L7 exchange (append-style encoders, in-place decoders, pooled per-conversation scratch): on a 2-core Xeon it took the fast path from 5,098 ns, 3,873 B and 29 allocs per grab (min of 3, parent tree) to 1-2 us (min of 3 varies that much on a shared VM), about 15 B and 0 allocs (a served grab keeps 1 allocation for an HTTP banner and 2 for SSH's ID lines, which TestGrabFastAllocs pins), and the reference from 11,681 ns, 5,084 B and 41 allocs to 5-8 us, 1.1-1.2 KB and 10-11 allocs. Since the reference moved into the fabric tests it runs behind GrabFast (no per-attempt deadline, no dial error values) and takes every verdict from its own per-target copy of the dial decision chain: 5.0-5.9 us, 0.8 KB and 6 allocs on the same machine. Gate: fast/reference ns/op <= 0.5, i.e. >= 2x. Min of 3 runs per variant; machine.cores records the capture machine, compare ratios." \
 	        -gate-num BenchmarkGrabFast -gate-den BenchmarkGrabReference -gate-max 0.5 \
 	        -out BENCH_grabfast.json
 

@@ -543,8 +543,9 @@ func benchStudyRun(b *testing.B, par, shards int) {
 	}
 }
 
-// BenchmarkStudySerial is the serial reference path: one scan at a time,
-// live stateful IDSes, unsharded sweeps.
+// BenchmarkStudySerial runs the study on one scan worker: one scan at a
+// time over the precomputed IDS plan, unsharded sweeps. (Before the serial
+// live-IDS loop became test code, this timed that loop.)
 func BenchmarkStudySerial(b *testing.B) { benchStudyRun(b, 1, 1) }
 
 // BenchmarkStudyParallel{2,4,8} run the same study on 2/4/8 scan workers
@@ -589,7 +590,7 @@ func benchV6StudyRun(b *testing.B, par, shards int) {
 	}
 }
 
-// BenchmarkV6HitlistStudySerial is the v6 serial reference path.
+// BenchmarkV6HitlistStudySerial is the v6 study on one scan worker.
 func BenchmarkV6HitlistStudySerial(b *testing.B) { benchV6StudyRun(b, 1, 1) }
 
 // BenchmarkV6HitlistStudyParallel4 runs the same v6 study on 4 scan workers

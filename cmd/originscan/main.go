@@ -89,7 +89,7 @@ func main() {
 		carinet      = flag.Bool("carinet", true, "include the Carinet origin in trial 1")
 		csvDir       = flag.String("csv", "", "also write figure data as CSV files into this directory")
 		blocklist    = flag.String("blocklist", "", "ZMap-style blocklist file applied to every scan")
-		parallelism  = flag.Int("parallelism", 0, "concurrent (origin, protocol, trial) scans (0 = serial)")
+		parallelism  = flag.Int("parallelism", 0, "concurrent (origin, protocol, trial) scans (0 = GOMAXPROCS, 1 = one at a time)")
 		scanShards   = flag.Int("scan-shards", 0, "goroutine shards per ZMap sweep (0 = unsharded)")
 		spillDir     = flag.String("spill-dir", "", "spill scan results to segment files in this directory")
 		memBudget    = flag.String("mem-budget", "", "live result memory cap, e.g. 256MiB or 2GiB (requires -spill-dir)")

@@ -42,7 +42,8 @@ func groupByAS(c *Classifier, topo Topology) map[asn.ASN][]int {
 }
 
 // TransientLossSpread computes, for every AS with at least minHosts live
-// hosts, the per-origin transient loss rates and their spread.
+// hosts, the per-origin transient loss rates and their spread, ordered by
+// Diff (descending), ties by AS number.
 func TransientLossSpread(c *Classifier, topo Topology, minHosts int) []ASLossSpread {
 	if minHosts < 1 {
 		minHosts = 2
@@ -86,7 +87,12 @@ func TransientLossSpread(c *Classifier, topo Topology, minHosts int) []ASLossSpr
 		}
 		out = append(out, row)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Diff > out[j].Diff })
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Diff != out[j].Diff {
+			return out[i].Diff > out[j].Diff
+		}
+		return out[i].AS < out[j].AS
+	})
 	return out
 }
 

@@ -32,6 +32,26 @@ func (c cancelSink) Send(src ip.Addr, pkt []byte, t time.Duration) []byte {
 	return c.inner.Send(src, pkt, t)
 }
 
+// cancelAtSecondGrab returns hooks that cancel the run as the grab stage
+// of the scan after the first sealed one begins — the deterministic
+// stand-in for SIGINT landing mid-grab. With one scan worker, that is the
+// second scan of the canonical order.
+func cancelAtSecondGrab(cancel context.CancelFunc) pipeline.Hooks {
+	var armed atomic.Bool
+	return pipeline.Hooks{
+		Before: func(_ context.Context, stage pipeline.Stage) {
+			if stage == pipeline.StageGrab && armed.Load() {
+				cancel()
+			}
+		},
+		After: func(_ context.Context, stage pipeline.Stage, err error) {
+			if stage == pipeline.StageSeal && err == nil {
+				armed.Store(true)
+			}
+		},
+	}
+}
+
 // TestCancelMidSweepSealsPartialDataset is the lifecycle acceptance test:
 // canceling the context during the second scan's sweep stops the run with
 // an ErrCanceled chain naming the interrupted (origin, proto, trial) and

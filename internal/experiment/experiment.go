@@ -75,17 +75,6 @@ type Config struct {
 	// seam for packet capture (pcap tee) or custom instrumentation. A
 	// wrapper must be safe for concurrent Sends when ScanShards > 1.
 	SinkWrapper func(zmap.PacketSink) zmap.PacketSink
-	// DialWrapper, when set, wraps the L7 dialer of every scan — the grab
-	// counterpart of SinkWrapper. A wrapper must be safe for concurrent
-	// Dials (the grab worker pool dials concurrently). Wrapped dialers
-	// automatically take the reference grab path: the wrapper sees every
-	// Dial.
-	DialWrapper func(zgrab.Dialer) zgrab.Dialer
-	// GrabReference forces the goroutine-per-connection reference grab
-	// path even when the scan's dialer supports the batched fast path
-	// (zgrab.FastDialer). The fast path is bit-identical — this knob
-	// exists for the differential tests and benchmarks that prove it.
-	GrabReference bool
 	// Hooks observe lifecycle stage transitions of every scan and of
 	// world generation (instrumentation, progress reporting, tests).
 	Hooks pipeline.Hooks
@@ -97,9 +86,9 @@ type Config struct {
 	// to a run without one.
 	Telemetry *telemetry.Registry
 	// Parallelism is how many (origin, protocol, trial) scans run
-	// concurrently (0 = GOMAXPROCS). The parallel engine precomputes IDS
-	// detection schedules so results are bit-identical to a serial run;
-	// set 1 to force the serial reference path.
+	// concurrently (0 = GOMAXPROCS, 1 = one scan at a time). Every scan
+	// reads the precomputed IDS detection schedules, so results are
+	// bit-identical at any setting.
 	Parallelism int
 	// ScanShards splits each scan's permutation sweep across N goroutine
 	// shards (0 or 1 = unsharded). Deterministic: shard results merge
@@ -195,10 +184,10 @@ func NewStudy(ctx context.Context, cfg Config) (*Study, error) {
 	return &Study{Config: cfg, World: w, Scenario: sc}, nil
 }
 
-// Run executes all trials and returns the dataset. With Parallelism > 1
-// (or by default, GOMAXPROCS > 1) the scans run concurrently on a bounded
-// worker pool; IDS detection schedules are precomputed so the dataset is
-// bit-identical to a serial run.
+// Run executes all trials and returns the dataset. The scans run on a
+// bounded worker pool of Parallelism workers (default GOMAXPROCS); IDS
+// detection schedules are precomputed so the dataset is bit-identical to
+// running the scans one after another against the live IDSes.
 //
 // Cancellation and failure both return the partial dataset alongside the
 // error: every scan that completed before the interruption is sealed and
@@ -237,65 +226,8 @@ func (st *Study) run(ctx context.Context, studySpan *telemetry.Span) (*results.D
 	if shards <= 0 {
 		shards = 1
 	}
-	// Orchestration metrics: totals for the progress line, the queue-depth
-	// gauge, and per-worker utilization. All instruments are nil-safe, so a
-	// run without a registry takes the same code path.
-	reg := cfg.Telemetry
-	numScans := 0
-	for trial := 0; trial < cfg.Trials; trial++ {
-		for range cfg.Protocols {
-			for _, o := range dsOrigins {
-				if o == origin.CARINET && trial != 0 {
-					continue
-				}
-				numScans++
-			}
-		}
-	}
-	reg.Gauge(telemetry.MetricScansTotal).Set(int64(numScans))
-	scansDone := reg.Counter(telemetry.MetricScansDone)
-	queueDepth := reg.Gauge(telemetry.MetricQueueDepth)
-
-	var scanErrs []error
-	if par == 1 && shards == 1 {
-		// Serial reference path: the live stateful IDSes observe probes
-		// in study order, exactly as the paper's scans unfolded. The
-		// parallel engine below must match this bit-for-bit.
-		queueDepth.Set(int64(numScans))
-		for trial := 0; trial < cfg.Trials; trial++ {
-			for _, p := range cfg.Protocols {
-				for _, o := range dsOrigins {
-					if o == origin.CARINET && trial != 0 {
-						continue
-					}
-					queueDepth.Add(-1)
-					res, err := st.scanOne(ctx, o, p, trial, policy.Detectors(st.Scenario.IDSes), 1, studySpan)
-					if err != nil {
-						serr := &pipeline.ScanError{Origin: o, Proto: p, Trial: trial, Err: err}
-						if errors.Is(err, pipeline.ErrCanceled) {
-							// The interrupted scan is discarded; the
-							// dataset keeps every scan sealed before it.
-							return ds, serr
-						}
-						scansDone.Inc()
-						scanErrs = append(scanErrs, serr)
-						continue
-					}
-					scansDone.Inc()
-					if err := ds.Put(res); err != nil {
-						scanErrs = append(scanErrs, &pipeline.ScanError{Origin: o, Proto: p, Trial: trial, Err: err})
-					}
-				}
-			}
-		}
-		if len(scanErrs) > 0 {
-			return ds, pipeline.Tag(pipeline.ErrScanFailed, errors.Join(scanErrs...))
-		}
-		return ds, nil
-	}
-
 	// Canonical task order: trial-major, then protocol, then origin — the
-	// order the serial loop commits in.
+	// order scans commit in, and the order the IDS plan replays.
 	var tasks []scanKey
 	for trial := 0; trial < cfg.Trials; trial++ {
 		for _, p := range cfg.Protocols {
@@ -307,6 +239,14 @@ func (st *Study) run(ctx context.Context, studySpan *telemetry.Span) (*results.D
 			}
 		}
 	}
+
+	// Orchestration metrics: totals for the progress line, the queue-depth
+	// gauge, and per-worker utilization. All instruments are nil-safe, so a
+	// run without a registry takes the same code path.
+	reg := cfg.Telemetry
+	reg.Gauge(telemetry.MetricScansTotal).Set(int64(len(tasks)))
+	scansDone := reg.Counter(telemetry.MetricScansDone)
+	queueDepth := reg.Gauge(telemetry.MetricQueueDepth)
 
 	plan, err := st.planIDS(ctx, dsOrigins)
 	if err != nil {
@@ -364,6 +304,7 @@ func (st *Study) run(ctx context.Context, studySpan *telemetry.Span) (*results.D
 		}
 	}
 
+	var scanErrs []error
 	var canceledErr error
 	for i, err := range errs {
 		if err == nil {
@@ -388,9 +329,9 @@ func (st *Study) run(ctx context.Context, studySpan *telemetry.Span) (*results.D
 		// Canceled after the last scan completed but before commit.
 		return ds, pipeline.Canceled(ctx.Err())
 	}
-	// Leave the live IDSes in the exact state a serial run would have:
-	// sub-experiments (SSH retry, multi-probe sweeps) read it. Only a
-	// fully successful run commits.
+	// Leave the live IDSes in the exact state scanning one scan at a time
+	// against them would have: sub-experiments (SSH retry, multi-probe
+	// sweeps) read it. Only a fully successful run commits.
 	plan.commit(st.Scenario.IDSes)
 	return ds, nil
 }
@@ -454,8 +395,8 @@ func (st *Study) originRecord(o origin.ID) *origin.Origin {
 }
 
 // ScanOne runs a single origin's ZMap+ZGrab scan of one protocol in one
-// trial: the building block of the study. The live IDSes observe the scan's
-// probes directly (the serial reference behaviour).
+// trial, outside Run. The live IDSes observe the scan's probes directly, so
+// successive calls continue from the state earlier scans left.
 func (st *Study) ScanOne(ctx context.Context, o origin.ID, p proto.Protocol, trial int) (*results.ScanResult, error) {
 	return st.scanOne(ctx, o, p, trial, policy.Detectors(st.Scenario.IDSes), 1, nil)
 }
@@ -472,11 +413,9 @@ func spanUnder(reg *telemetry.Registry, parent *telemetry.Span, name string, lab
 // scanOne runs one scan with the given IDS views (live or scheduled) and
 // number of sweep shards. The scan is a three-stage pipeline — Sweep (L4
 // probe sweep), Grab (L7 handshakes on the worker pool), Seal (commit the
-// sorted columns and drain the fabric's connection goroutines) — run
-// through a pipeline.Runner so cfg.Hooks observe the transitions and any
-// interruption reports its stage. A canceled scan returns nil (the partial
-// result is not well-defined mid-stage); the fabric is always drained
-// before return so no connection goroutine outlives the scan.
+// sorted columns) — run through a pipeline.Runner so cfg.Hooks observe the
+// transitions and any interruption reports its stage. A canceled scan
+// returns nil (the partial result is not well-defined mid-stage).
 func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, trial int, detectors []policy.Detector, shards int, studySpan *telemetry.Span) (res *results.ScanResult, err error) {
 	cfg := st.Config
 	org := st.originRecord(o)
@@ -508,14 +447,6 @@ func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, tri
 		NumOrigins: len(cfg.Origins),
 		Hosts:      st.Scenario.Hosts,
 	}, org, trial)
-	// Teardown safety net: even when a stage fails or the run is
-	// canceled, wait (bounded, off the canceled ctx) for the fabric's
-	// per-connection goroutines so an aborted scan leaks nothing.
-	defer func() {
-		drainCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		_ = fab.Drain(drainCtx)
-	}()
 
 	// All origins share the scan seed per (protocol, trial): the paper
 	// starts every origin's ZMap with the same seed so scanners probe
@@ -545,10 +476,6 @@ func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, tri
 	if cfg.SinkWrapper != nil {
 		sink = cfg.SinkWrapper(fab)
 	}
-	var dialer zgrab.Dialer = fab
-	if cfg.DialWrapper != nil {
-		dialer = cfg.DialWrapper(fab)
-	}
 
 	// State threaded between stages.
 	replies := make([]zmap.Reply, 0, numHosts)
@@ -567,189 +494,41 @@ func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, tri
 			return err
 		}},
 		pipeline.StageFunc{Stage: pipeline.StageGrab, Run: func(ctx context.Context) error {
-			// Windowed grab hand-off through the ResultSink: workers
-			// claim reply indices inside a bounded window, writing
-			// records into matching slots — no channel per record — and
-			// each window barrier appends its records through the sink
-			// in reply order, so the columns build deterministically
-			// (identical to the old whole-scan record buffer). Handing
-			// records over per window instead of buffering the entire
-			// scan is what lets a spill-backed store bound memory: the
-			// sink may flush sorted runs to disk mid-scan. Workers
-			// re-check ctx per claim (a pure read: uncancelled runs are
-			// unaffected), so a canceled grab stops within one claim per
-			// worker, and a partially grabbed window is never appended.
 			var err error
 			res, err = st.newScanResult(o, p, trial, len(replies))
 			if err != nil {
 				return err
-			}
-			var sink results.ResultSink = res
-			grabber := &zgrab.Grabber{
-				Dialer:    dialer,
-				Retries:   cfg.Retries,
-				Key:       rng.NewKey(st.World.Spec.Seed).Derive("grab").DeriveN("origin", uint64(o)),
-				IOTimeout: 10 * time.Second,
-				Metrics:   grabM,
 			}
 			gspan := tr.Span(pipeline.StageGrab)
 			gspan.SetAttr("hosts", int64(len(replies)))
 			if poolM != nil {
 				poolM.Hosts.Set(int64(len(replies)))
 			}
-			// The window tracer records per-window exemplars (bounded
-			// sampling) under the grab stage span; Hooks run the stage in
-			// this goroutine, so the tracer's state is single-owner.
-			wt := gspan.ChildTracer("grab_window")
-			size := grabWindow
-			if size > len(replies) {
-				size = len(replies)
+			gp := grabPass{
+				grabber: &zgrab.Grabber{
+					Dialer:  fab,
+					Retries: cfg.Retries,
+					Key:     rng.NewKey(st.World.Spec.Seed).Derive("grab").DeriveN("origin", uint64(o)),
+					Metrics: grabM,
+				},
+				proto:   p,
+				window:  grabWindow,
+				workers: cfg.GrabWorkers,
+				pool:    poolM,
+				// Hooks run the stage in this goroutine, so the
+				// tracer's state is single-owner.
+				windows: gspan.ChildTracer("grab_window"),
 			}
-			window := make([]results.HostRecord, size)
-			// The fast path: a dialer that supports batched pre-dial
-			// evaluation gets its verdicts computed per window, up
-			// front, so the workers' grabs never touch connection setup
-			// for L4 failures and serve accepted exchanges inline (zero
-			// goroutines). Wrapped dialers (DialWrapper) don't satisfy
-			// the interface and fall back to the reference path, as
-			// does Config.GrabReference. preIdx maps a window slot to
-			// its verdict (-1: no L4 response, never grabbed).
-			fd, fastPath := dialer.(zgrab.FastDialer)
-			if cfg.GrabReference {
-				fastPath = false
-			}
-			var (
-				preDst []ip.Addr
-				preT   []time.Duration
-				pre    []zgrab.DialVerdict
-				preIdx []int32
-			)
-			if fastPath {
-				preDst = make([]ip.Addr, size)
-				preT = make([]time.Duration, size)
-				pre = make([]zgrab.DialVerdict, size)
-				preIdx = make([]int32, size)
-			}
-			var fastAttr int64
-			if fastPath {
-				fastAttr = 1
-			}
-			gspan.SetAttr("fast_path", fastAttr)
-			for base := 0; base < len(replies); base += size {
-				n := len(replies) - base
-				if n > size {
-					n = size
-				}
-				win := window[:n]
-				if fastPath {
-					m := 0
-					for i := 0; i < n; i++ {
-						r := &replies[base+i]
-						if r.ProbeMask == 0 {
-							preIdx[i] = -1
-							continue
-						}
-						preDst[m] = r.Dst
-						preT[m] = r.T
-						preIdx[i] = int32(m)
-						m++
-					}
-					var predialStart time.Time
-					if poolM != nil {
-						predialStart = time.Now()
-					}
-					fd.PredialBatch(preDst[:m], preT[:m], p.Port(), pre[:m])
-					if poolM != nil {
-						poolM.Predial.ObserveDuration(time.Since(predialStart))
-					}
-				}
-				workers := cfg.GrabWorkers
-				if workers > n {
-					workers = n
-				}
-				wt.Begin()
-				// windowStart anchors the queue-wait measurement: how long
-				// a reply sat in the window before a worker claimed it.
-				// Clock reads are gated on a live pool bundle, so disabled
-				// telemetry costs one nil check per window and per claim.
-				var windowStart time.Time
-				if poolM != nil {
-					windowStart = time.Now()
-				}
-				var next atomic.Int64
-				var wg sync.WaitGroup
-				for w := 0; w < workers; w++ {
-					wg.Add(1)
-					go func(w int) {
-						defer wg.Done()
-						var busyNS int64
-						for ctx.Err() == nil {
-							i := int(next.Add(1)) - 1
-							if i >= n {
-								break
-							}
-							var claimed time.Time
-							if poolM != nil {
-								claimed = time.Now()
-								poolM.QueueWait.Observe(claimed.Sub(windowStart).Seconds())
-							}
-							r := replies[base+i]
-							rec := results.HostRecord{
-								Addr: r.Dst, ProbeMask: r.ProbeMask, RST: r.RST, T: r.T,
-							}
-							if r.ProbeMask != 0 {
-								var g zgrab.Result
-								if fastPath {
-									g = grabber.GrabFast(ctx, p, r.Dst, r.T, pre[preIdx[i]])
-								} else {
-									g = grabber.Grab(ctx, p, r.Dst, r.T)
-								}
-								rec.L7 = g.Success
-								rec.Fail = g.Fail
-								rec.Attempts = g.Attempts
-								rec.Banner = g.Banner
-							}
-							win[i] = rec
-							if poolM != nil {
-								service := time.Since(claimed)
-								poolM.Service.Observe(service.Seconds())
-								busyNS += service.Nanoseconds()
-								poolM.HostsDone.Inc()
-							}
-						}
-						if poolM != nil {
-							poolM.WorkerBusyNS[w].Add(uint64(busyNS))
-						}
-					}(w)
-				}
-				wg.Wait()
-				if err := ctx.Err(); err != nil {
-					return err
-				}
-				// The window hand-off: AddBatch may sort, dedup, and spill
-				// — WindowAppend is where result-store back-pressure on
-				// the grab path becomes visible.
-				var appendStart time.Time
-				if poolM != nil {
-					appendStart = time.Now()
-				}
-				sink.AddBatch(win)
-				if poolM != nil {
-					poolM.WindowAppend.ObserveDuration(time.Since(appendStart))
-				}
-				wt.End(telemetry.A("hosts", int64(n)), telemetry.A("workers", int64(workers)))
-			}
-			return ctx.Err()
+			return gp.run(ctx, replies, res)
 		}},
 		pipeline.StageFunc{Stage: pipeline.StageSeal, Run: func(ctx context.Context) error {
 			// Records appended in deterministic (T, Dst) reply order;
-			// Seal commits the sorted columns — one in-memory sort for
-			// the fast path, or the keep-last external merge of on-disk
-			// segments plus the live run for a spill-backed store (the
-			// segments are deleted as the merge consumes them). Either
-			// way the stored scan is an immutable sorted view before any
-			// analysis touches it. The fabric drain guarantees every
-			// per-connection goroutine exited before the scan commits.
+			// Seal commits the sorted columns — one in-memory sort, or
+			// the keep-last external merge of on-disk segments plus the
+			// live run for a spill-backed store (the segments are
+			// deleted as the merge consumes them). Either way the stored
+			// scan is an immutable sorted view before any analysis
+			// touches it.
 			res.Targets = stats.Targets
 			res.ProbesSent = stats.ProbesSent
 			res.SynAcks = stats.SynAcks
@@ -786,14 +565,13 @@ func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, tri
 					sspan.SetAttr("flush_ns", sst.FlushDuration.Nanoseconds())
 				}
 			}
-			// Fabric connection totals land on the seal span (with the
-			// still-active count before the drain): the routed/unrouted
-			// split lives on the sweep span, the L7 connection volume here.
+			// The fabric's connection total lands on the seal span: the
+			// routed/unrouted split lives on the sweep span, the L7
+			// connection volume here.
 			if sspan != nil {
 				sspan.SetAttr("conns_opened", int64(fab.ConnsOpened()))
-				sspan.SetAttr("conns_active_predrain", int64(fab.ActiveConns()))
 			}
-			return fab.Drain(ctx)
+			return nil
 		}},
 	)
 	if err != nil {
@@ -805,4 +583,144 @@ func (st *Study) scanOne(ctx context.Context, o origin.ID, p proto.Protocol, tri
 		return nil, err
 	}
 	return res, nil
+}
+
+// grabPass is one scan's L7 grab stage: the grabber (whose Dialer is the
+// scan's fabric), the window and worker sizes, and the instruments that
+// observe it. Kept apart from scanOne so tests can drive the windowed
+// hand-off through their own Dialer.
+type grabPass struct {
+	grabber *zgrab.Grabber
+	proto   proto.Protocol
+	// window is the number of replies per hand-off window; workers is
+	// the grab worker count, capped per window at the window's size.
+	window, workers int
+	// pool and windows observe the pass; nil disables each.
+	pool    *telemetry.GrabPoolMetrics
+	windows *telemetry.ChildTracer
+}
+
+// run grabs every reply with an L4 response and appends one record per
+// reply through sink. Workers claim reply indices inside a bounded window,
+// writing records into matching slots — no channel per record — and each
+// window barrier appends its records through the sink in reply order, so
+// the columns build deterministically. Handing records over per window
+// instead of buffering the entire scan is what lets a spill-backed store
+// bound memory: the sink may flush sorted runs to disk mid-scan. Each
+// window's attempt-0 verdicts are computed up front in one PredialBatch, so
+// the workers' grabs never touch connection setup for L4 failures. Workers
+// re-check ctx per claim (a pure read: uncanceled runs are unaffected), so
+// a canceled pass stops within one claim per worker, and a partially
+// grabbed window is never appended.
+func (gp *grabPass) run(ctx context.Context, replies []zmap.Reply, sink results.ResultSink) error {
+	poolM := gp.pool
+	size := gp.window
+	if size > len(replies) {
+		size = len(replies)
+	}
+	window := make([]results.HostRecord, size)
+	// preIdx maps a window slot to its verdict (-1: no L4 response, never
+	// grabbed).
+	preDst := make([]ip.Addr, size)
+	preT := make([]time.Duration, size)
+	pre := make([]zgrab.DialVerdict, size)
+	preIdx := make([]int32, size)
+	for base := 0; base < len(replies); base += size {
+		n := len(replies) - base
+		if n > size {
+			n = size
+		}
+		win := window[:n]
+		m := 0
+		for i := 0; i < n; i++ {
+			r := &replies[base+i]
+			if r.ProbeMask == 0 {
+				preIdx[i] = -1
+				continue
+			}
+			preDst[m] = r.Dst
+			preT[m] = r.T
+			preIdx[i] = int32(m)
+			m++
+		}
+		var predialStart time.Time
+		if poolM != nil {
+			predialStart = time.Now()
+		}
+		gp.grabber.Dialer.PredialBatch(preDst[:m], preT[:m], gp.proto.Port(), pre[:m])
+		if poolM != nil {
+			poolM.Predial.ObserveDuration(time.Since(predialStart))
+		}
+		workers := gp.workers
+		if workers > n {
+			workers = n
+		}
+		gp.windows.Begin()
+		// windowStart anchors the queue-wait measurement: how long a
+		// reply sat in the window before a worker claimed it. Clock
+		// reads are gated on a live pool bundle, so disabled telemetry
+		// costs one nil check per window and per claim.
+		var windowStart time.Time
+		if poolM != nil {
+			windowStart = time.Now()
+		}
+		var next atomic.Int64
+		var wg sync.WaitGroup
+		for w := 0; w < workers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				var busyNS int64
+				for ctx.Err() == nil {
+					i := int(next.Add(1)) - 1
+					if i >= n {
+						break
+					}
+					var claimed time.Time
+					if poolM != nil {
+						claimed = time.Now()
+						poolM.QueueWait.Observe(claimed.Sub(windowStart).Seconds())
+					}
+					r := replies[base+i]
+					rec := results.HostRecord{
+						Addr: r.Dst, ProbeMask: r.ProbeMask, RST: r.RST, T: r.T,
+					}
+					if r.ProbeMask != 0 {
+						g := gp.grabber.GrabFast(ctx, gp.proto, r.Dst, r.T, pre[preIdx[i]])
+						rec.L7 = g.Success
+						rec.Fail = g.Fail
+						rec.Attempts = g.Attempts
+						rec.Banner = g.Banner
+					}
+					win[i] = rec
+					if poolM != nil {
+						service := time.Since(claimed)
+						poolM.Service.Observe(service.Seconds())
+						busyNS += service.Nanoseconds()
+						poolM.HostsDone.Inc()
+					}
+				}
+				if poolM != nil {
+					poolM.WorkerBusyNS[w].Add(uint64(busyNS))
+				}
+			}(w)
+		}
+		wg.Wait()
+		if err := ctx.Err(); err != nil {
+			return err
+		}
+		// The window hand-off: AddBatch may sort, dedup, and spill —
+		// WindowAppend is where result-store back-pressure on the grab
+		// path becomes visible.
+		var appendStart time.Time
+		if poolM != nil {
+			appendStart = time.Now()
+		}
+		sink.AddBatch(win)
+		if poolM != nil {
+			poolM.WindowAppend.ObserveDuration(time.Since(appendStart))
+		}
+		gp.windows.End(telemetry.A("hosts", int64(n)), telemetry.A("workers", int64(workers)))
+	}
+	return ctx.Err()
 }

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"context"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -299,6 +300,30 @@ func TestSSHRetryCurvesIncrease(t *testing.T) {
 	}
 	if improved < len(curves)-1 {
 		t.Errorf("retries helped in only %d/%d ASes", improved, len(curves))
+	}
+}
+
+// TestSSHRetryPinned pins Figure 13 on the fixture: repeated runs rank the
+// ASes identically (OVH and Tencent tie on transiently missed hosts and
+// must be ordered by AS number), and every curve equals the one the
+// goroutine-per-connection reference grab produced.
+func TestSSHRetryPinned(t *testing.T) {
+	st, ds := fixture(t)
+	want := []RetryCurve{
+		{AS: 14061, ASName: "Digital Ocean", Hosts: 59, Success: []float64{0.8983050847457628, 0.9152542372881356, 0.9830508474576272, 1, 1, 1, 1, 1, 1}},
+		{AS: 45102, ASName: "Alibaba CN", Hosts: 29, Success: []float64{0.8275862068965517, 0.896551724137931, 0.9310344827586207, 0.9310344827586207, 0.9310344827586207, 0.9310344827586207, 0.9310344827586207, 0.9310344827586207, 0.9310344827586207}},
+		{AS: 37963, ASName: "HZ Alibaba Advertising", Hosts: 29, Success: []float64{0.9310344827586207, 0.9310344827586207, 0.9310344827586207, 0.9310344827586207, 0.9310344827586207, 0.9310344827586207, 0.9310344827586207, 0.9310344827586207, 0.9310344827586207}},
+		{AS: 16276, ASName: "OVH", Hosts: 29, Success: []float64{0.7931034482758621, 0.896551724137931, 0.9310344827586207, 0.9655172413793104, 1, 1, 1, 1, 1}},
+		{AS: 45090, ASName: "Tencent", Hosts: 15, Success: []float64{0.9333333333333333, 0.9333333333333333, 0.9333333333333333, 0.9333333333333333, 0.9333333333333333, 0.9333333333333333, 0.9333333333333333, 0.9333333333333333, 0.9333333333333333}},
+	}
+	for run := 0; run < 5; run++ {
+		curves, err := st.SSHRetry(context.Background(), ds, 5, 8)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(curves, want) {
+			t.Fatalf("run %d: curves\n%+v\nwant\n%+v", run, curves, want)
+		}
 	}
 }
 

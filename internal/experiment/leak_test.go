@@ -3,7 +3,6 @@ package experiment
 import (
 	"context"
 	"errors"
-	"net"
 	"runtime"
 	"sync/atomic"
 	"testing"
@@ -14,7 +13,6 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/proto"
 	"repro/internal/world"
-	"repro/internal/zgrab"
 	"repro/internal/zmap"
 )
 
@@ -33,10 +31,8 @@ func waitNoLeak(t *testing.T, before int, what string) {
 	t.Errorf("goroutines before=%d after=%d: leaked %s", before, runtime.NumGoroutine(), what)
 }
 
-// TestNoGoroutineLeak verifies that a complete study — thousands of virtual
-// connections served by per-connection goroutines — leaves no goroutines
-// behind: every hostsim server must terminate when its grab closes or
-// aborts the pipe.
+// TestNoGoroutineLeak verifies that a complete study — thousands of L7
+// grabs on the worker pool — leaves no goroutines behind.
 func TestNoGoroutineLeak(t *testing.T) {
 	before := runtime.NumGoroutine()
 	st, err := NewStudy(context.Background(), Config{
@@ -89,8 +85,8 @@ func (c leakCancelSink) Send(src ip.Addr, pkt []byte, t time.Duration) []byte {
 }
 
 // TestNoGoroutineLeakCancelMidSweep cancels the study while a sharded sweep
-// is mid-space under the parallel engine: the scan worker pool, the sweep
-// shard goroutines, and any live hostsim servers must all drain.
+// is mid-space under the parallel engine: the scan worker pool and the
+// sweep shard goroutines must all drain.
 func TestNoGoroutineLeakCancelMidSweep(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
@@ -114,37 +110,20 @@ func TestNoGoroutineLeakCancelMidSweep(t *testing.T) {
 	waitNoLeak(t, before, "sweep shards or workers after cancellation")
 }
 
-// leakCancelDialer cancels the run after a fixed number of L7 dials.
-type leakCancelDialer struct {
-	inner  zgrab.Dialer
-	dials  *atomic.Int64
-	after  int64
-	cancel context.CancelFunc
-}
-
-func (c leakCancelDialer) Dial(ctx context.Context, dst ip.Addr, port uint16, t time.Duration, attempt int) (net.Conn, error) {
-	if c.dials.Add(1) == c.after {
-		c.cancel()
-	}
-	return c.inner.Dial(ctx, dst, port, t, attempt)
-}
-
-// TestNoGoroutineLeakCancelMidGrab cancels the study while the grab worker
-// pool is mid-pass: grab workers and the per-connection hostsim server
-// goroutines behind in-flight dials must all terminate.
+// TestNoGoroutineLeakCancelMidGrab cancels the study as the second scan's
+// grab stage begins: the scan worker pool and the grab workers must all
+// terminate. (Cancellation inside a grab window is pinned by
+// TestGrabPassCancelMidWindow.)
 func TestNoGoroutineLeakCancelMidGrab(t *testing.T) {
 	before := runtime.NumGoroutine()
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
-	var dials atomic.Int64
 	st, err := NewStudy(ctx, Config{
 		WorldSpec: world.Spec{Seed: 6, Scale: 0.00005}, Trials: 1,
 		Protocols:   []proto.Protocol{proto.HTTP},
 		Origins:     origin.Set{origin.US1, origin.CEN},
 		Parallelism: 1,
-		DialWrapper: func(inner zgrab.Dialer) zgrab.Dialer {
-			return leakCancelDialer{inner: inner, dials: &dials, after: 5, cancel: cancel}
-		},
+		Hooks:       cancelAtSecondGrab(cancel),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -156,5 +135,5 @@ func TestNoGoroutineLeakCancelMidGrab(t *testing.T) {
 	if stage, ok := pipeline.InterruptedStage(err); !ok || stage != pipeline.StageGrab {
 		t.Errorf("interrupted stage = %v (found=%v), want grab", stage, ok)
 	}
-	waitNoLeak(t, before, "grab workers or servers after cancellation")
+	waitNoLeak(t, before, "scan or grab workers after cancellation")
 }

@@ -1,6 +1,6 @@
 // Deterministic parallel execution support: precomputing IDS detection
 // schedules so the study's scans can run concurrently yet produce a dataset
-// bit-identical to the serial reference path.
+// bit-identical to scanning them one at a time against the live IDSes.
 //
 // The IDSes are the only cross-scan mutable state in the simulation (every
 // other behaviour is a pure keyed hash of the event coordinates). But their
@@ -87,10 +87,7 @@ func (st *Study) planIDS(ctx context.Context, dsOrigins origin.Set) (*idsPlan, e
 		return plan, nil
 	}
 
-	monitored := make(map[asn.ASN]bool, len(live))
-	for _, d := range live {
-		monitored[d.AS] = true
-	}
+	monitored := st.monitorSet(live)
 
 	// One walk per (protocol, trial), shared by every origin: the paper
 	// starts all origins' scans from the same ZMap seed, so they probe
@@ -185,7 +182,7 @@ func (st *Study) planIDS(ctx context.Context, dsOrigins origin.Set) (*idsPlan, e
 // monitoredTargets computes the scan-order schedule of probe targets inside
 // monitored ASes for one (protocol, trial), using the scanner's own sweep
 // so the planner cannot diverge from what the scan will actually send.
-func (st *Study) monitoredTargets(ctx context.Context, p proto.Protocol, trial int, monitored map[asn.ASN]bool) ([]walkEntry, error) {
+func (st *Study) monitoredTargets(ctx context.Context, p proto.Protocol, trial int, monitored *monitorSet) ([]walkEntry, error) {
 	cfg := st.Config
 	scanSeed := rng.NewKey(st.World.Spec.Seed).Derive("scan-seed").Uint64(uint64(p), uint64(trial))
 	sc, err := zmap.NewScanner(zmap.Config{
@@ -204,22 +201,60 @@ func (st *Study) monitoredTargets(ctx context.Context, p proto.Protocol, trial i
 	if err != nil {
 		return nil, fmt.Errorf("experiment: ids plan %v/trial %d: %w", p, trial, err)
 	}
+	fib := st.World.FIB()
 	var entries []walkEntry
-	err = sc.Targets(ctx, func(dst ip.Addr, t time.Duration) {
-		as, routed := st.World.ASOf(dst)
-		if !routed || !monitored[as.Number] {
-			return
+	err = sc.Targets(ctx, monitored.blocks, func(dsts []ip.Addr, times []time.Duration) {
+		for i, dst := range dsts {
+			d := fib.Resolve(dst)
+			if !d.Routed || !monitored.ases[d.AS.Number] {
+				continue
+			}
+			if d.Host && st.Scenario.Churn.Offline(dst, trial) {
+				continue
+			}
+			entries = append(entries, walkEntry{dst: dst, t: times[i], as: d.AS.Number, country: d.Country})
 		}
-		if _, isHost := st.World.Lookup(dst); isHost && st.Scenario.Churn.Offline(dst, trial) {
-			return
-		}
-		country, _ := st.World.CountryOf(dst)
-		entries = append(entries, walkEntry{dst: dst, t: t, as: as.Number, country: country})
 	})
 	if err != nil {
 		return nil, err
 	}
 	return entries, nil
+}
+
+// monitorSet is the set of IDS-monitored ASes, with a bitmap of the v4
+// /24 blocks their prefixes touch. Announced prefixes never overlap across
+// ASes, so an address in an unmarked block cannot resolve to a monitored
+// AS: the planner's sweep drops those with one bit test each
+// (zmap.Scanner.Targets), before the clock arithmetic and the FIB lookup.
+type monitorSet struct {
+	ases   map[asn.ASN]bool
+	blocks []uint64
+}
+
+func (st *Study) monitorSet(live []*policy.IDS) *monitorSet {
+	m := &monitorSet{ases: make(map[asn.ASN]bool, len(live))}
+	var v4 []ip.Prefix
+	for _, d := range live {
+		m.ases[d.AS] = true
+		if a, ok := st.World.Routes.Get(d.AS); ok {
+			for _, pfx := range a.Prefixes {
+				if pfx.Base.Is4() {
+					v4 = append(v4, pfx)
+				}
+			}
+		}
+	}
+	var words uint64
+	for _, pfx := range v4 {
+		words = max(words, uint64(pfx.Last().V4())>>14+1)
+	}
+	m.blocks = make([]uint64, words)
+	for _, pfx := range v4 {
+		for b := uint64(pfx.First().V4()) >> 8; b <= uint64(pfx.Last().V4())>>8; b++ {
+			m.blocks[b>>6] |= 1 << (b & 63)
+		}
+	}
+	return m
 }
 
 // replayScan drives one scan's probes through the origin's IDS clones and

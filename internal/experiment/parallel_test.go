@@ -5,6 +5,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"repro/internal/ip"
 	"repro/internal/origin"
 	"repro/internal/proto"
 	"repro/internal/results"
@@ -12,13 +13,13 @@ import (
 	"repro/internal/world"
 )
 
-// equivalenceStudy runs one full study at the given parallelism and shard
-// count. The origin set deliberately mixes the IDS-relevant identities:
+// equivalenceStudy prepares one full study at the given parallelism and
+// shard count. The origin set deliberately mixes the IDS-relevant identities:
 // single-IP origins that cross detection thresholds, the 64-IP origin that
 // evades them, and Carinet's trial-0-only scan (an ordering edge case).
 // Every run carries a telemetry registry, so the equivalence it proves
 // covers instrumented scans: telemetry must not perturb any result.
-func equivalenceStudy(t *testing.T, par, shards int) (*Study, *results.Dataset) {
+func equivalenceStudy(t *testing.T, par, shards int) *Study {
 	t.Helper()
 	// Tracing runs at full tilt — hierarchy, batch exemplars, and a live
 	// flight recorder streaming spans to disk — so the equivalence also
@@ -47,25 +48,69 @@ func equivalenceStudy(t *testing.T, par, shards int) (*Study, *results.Dataset) 
 	if err != nil {
 		t.Fatal(err)
 	}
+	return st
+}
+
+// runStudy runs st through the engine.
+func runStudy(t *testing.T, st *Study) *results.Dataset {
+	t.Helper()
 	ds, err := st.Run(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	return st, ds
+	return ds
 }
 
-// TestParallelMatchesSerial is the parallel engine's core invariant: the
-// same study config run serially (live stateful IDSes, one scan at a time,
-// unsharded sweeps) and in parallel (precomputed IDS schedules, concurrent
-// scans, sharded sweeps) must produce bit-for-bit identical datasets, and
-// must leave the live IDS machines in identical end states.
+// serialStudy is the study-level oracle for Run: it scans the tasks in
+// canonical order — trial-major, then protocol, then origin — one at a
+// time with ScanOne, so the live stateful IDSes observe every probe as
+// the scans unfold, and seals each scan into the dataset as it completes.
+func serialStudy(t *testing.T, st *Study) *results.Dataset {
+	t.Helper()
+	cfg := st.Config
+	dsOrigins := cfg.Origins
+	if cfg.IncludeCarinet && !dsOrigins.Contains(origin.CARINET) {
+		dsOrigins = append(append(origin.Set{}, dsOrigins...), origin.CARINET)
+	}
+	ds := results.NewDataset(dsOrigins, cfg.Trials)
+	for trial := 0; trial < cfg.Trials; trial++ {
+		for _, p := range cfg.Protocols {
+			for _, o := range dsOrigins {
+				if o == origin.CARINET && trial != 0 {
+					continue
+				}
+				res, err := st.ScanOne(context.Background(), o, p, trial)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := ds.Put(res); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+	return ds
+}
+
+// TestParallelMatchesSerial is the engine's core invariant: the same study
+// config scanned serially by the test-side oracle (live stateful IDSes, one
+// scan at a time, unsharded sweeps) and run by the engine (precomputed IDS
+// schedules, one worker or concurrent scans, sharded sweeps) must produce
+// bit-for-bit identical datasets, and must leave the live IDS machines in
+// identical end states.
 func TestParallelMatchesSerial(t *testing.T) {
-	stSerial, serial := equivalenceStudy(t, 1, 1)
-	stPar, par := equivalenceStudy(t, 8, 1)
-	_, sharded := equivalenceStudy(t, 8, 4)
+	stSerial := equivalenceStudy(t, 1, 1)
+	serial := serialStudy(t, stSerial)
+	one := runStudy(t, equivalenceStudy(t, 1, 1))
+	stPar := equivalenceStudy(t, 8, 1)
+	par := runStudy(t, stPar)
+	sharded := runStudy(t, equivalenceStudy(t, 8, 4))
 
 	if serial.Len() == 0 {
 		t.Fatal("serial study produced no scans")
+	}
+	if diff := serial.Diff(one); diff != "" {
+		t.Errorf("Parallelism 1 differs from serial: %s", diff)
 	}
 	if diff := serial.Diff(par); diff != "" {
 		t.Errorf("Parallelism 8 differs from serial: %s", diff)
@@ -88,5 +133,33 @@ func TestParallelMatchesSerial(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestMonitorSetCoversMonitoredASes pins the planner's block filter: the
+// /24 of every address that resolves to an IDS-monitored AS is marked, and
+// the bitmap leaves out part of the space.
+func TestMonitorSetCoversMonitoredASes(t *testing.T) {
+	st := equivalenceStudy(t, 1, 1)
+	m := st.monitorSet(st.Scenario.IDSes)
+	marked := func(a uint64) bool {
+		b := a >> 8
+		return b>>6 < uint64(len(m.blocks)) && m.blocks[b>>6]&(1<<(b&63)) != 0
+	}
+	fib := st.World.FIB()
+	var monitored, ruledOut uint64
+	for a := uint64(0); a < st.World.SpaceSize(); a++ {
+		d := fib.Resolve(ip.AddrFrom4(uint32(a)))
+		if d.Routed && m.ases[d.AS.Number] {
+			monitored++
+			if !marked(a) {
+				t.Fatalf("%v (AS%d, monitored) not in a marked block", ip.AddrFrom4(uint32(a)), d.AS.Number)
+			}
+		} else if !marked(a) {
+			ruledOut++
+		}
+	}
+	if monitored == 0 || ruledOut == 0 {
+		t.Fatalf("monitored %d, ruled out %d of %d: want both > 0", monitored, ruledOut, st.World.SpaceSize())
 	}
 }

@@ -4,21 +4,16 @@ import (
 	"bytes"
 	"context"
 	"errors"
-	"net"
 	"os"
 	"path/filepath"
 	"strconv"
-	"sync/atomic"
 	"testing"
-	"time"
 
-	"repro/internal/ip"
 	"repro/internal/origin"
 	"repro/internal/pipeline"
 	"repro/internal/proto"
 	"repro/internal/results"
 	"repro/internal/world"
-	"repro/internal/zgrab"
 )
 
 // spillStudyBudget is the adversarially tiny study budget the differential
@@ -119,23 +114,6 @@ func TestSpillStudyMatchesMemStudy(t *testing.T) {
 	}
 }
 
-// spillCancelDialer cancels the run after a fixed number of L7 dials once
-// armed — the deterministic stand-in for SIGINT landing mid-grab.
-type spillCancelDialer struct {
-	inner  zgrab.Dialer
-	armed  *atomic.Bool
-	dials  *atomic.Int64
-	after  int64
-	cancel context.CancelFunc
-}
-
-func (c spillCancelDialer) Dial(ctx context.Context, dst ip.Addr, port uint16, t time.Duration, attempt int) (net.Conn, error) {
-	if c.armed.Load() && c.dials.Add(1) == c.after {
-		c.cancel()
-	}
-	return c.inner.Dial(ctx, dst, port, t, attempt)
-}
-
 // TestSpillCancelMidGrabSealsPartialDataset preserves PR 3's cancellation
 // contract under the spill store: a cancellation landing mid-grab (after
 // the first scan sealed — and spilled — normally) discards the interrupted
@@ -146,8 +124,6 @@ func TestSpillCancelMidGrabSealsPartialDataset(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	dir := t.TempDir()
-	var armed atomic.Bool
-	var dials atomic.Int64
 	cfg := Config{
 		WorldSpec: world.Spec{Seed: 6, Scale: 0.00005}, Trials: 1,
 		Protocols:   []proto.Protocol{proto.HTTP},
@@ -155,16 +131,7 @@ func TestSpillCancelMidGrabSealsPartialDataset(t *testing.T) {
 		Parallelism: 1,
 		SpillDir:    dir,
 		MemBudget:   spillStudyBudget(t),
-		Hooks: pipeline.Hooks{
-			After: func(_ context.Context, stage pipeline.Stage, err error) {
-				if stage == pipeline.StageSeal && err == nil {
-					armed.Store(true) // first scan committed: cancel in the next grab
-				}
-			},
-		},
-		DialWrapper: func(inner zgrab.Dialer) zgrab.Dialer {
-			return spillCancelDialer{inner: inner, armed: &armed, dials: &dials, after: 5, cancel: cancel}
-		},
+		Hooks:       cancelAtSecondGrab(cancel),
 	}
 	st, err := NewStudy(ctx, cfg)
 	if err != nil {

@@ -37,11 +37,15 @@ func (st *Study) SSHRetry(ctx context.Context, ds *results.Dataset, topASes int,
 	cls := analysis.NewClassifier(ds, proto.SSH)
 	topo := analysis.WorldTopo{W: st.World}
 	spreads := analysis.TransientLossSpread(cls, topo, 3)
-	// Rank ASes by transiently missed SSH hosts from US1.
+	// Rank ASes by transiently missed SSH hosts from US1, ties by AS
+	// number: the ranking decides which ASes are re-grabbed.
 	sort.Slice(spreads, func(i, j int) bool {
 		ti := spreads[i].Rate[origin.US1] * float64(spreads[i].Hosts)
 		tj := spreads[j].Rate[origin.US1] * float64(spreads[j].Hosts)
-		return ti > tj
+		if ti != tj {
+			return ti > tj
+		}
+		return spreads[i].AS < spreads[j].AS
 	})
 	if topASes > len(spreads) {
 		topASes = len(spreads)
@@ -61,6 +65,7 @@ func (st *Study) SSHRetry(ctx context.Context, ds *results.Dataset, topASes int,
 		Hosts:      st.Scenario.Hosts,
 	}, org, trial)
 
+	const retryAt = 5 * time.Hour
 	var curves []RetryCurve
 	for _, sp := range spreads[:topASes] {
 		// Candidate sub-network: the AS's busiest /24 by SSH hosts.
@@ -82,7 +87,8 @@ func (st *Study) SSHRetry(ctx context.Context, ds *results.Dataset, topASes int,
 			for _, h := range hosts {
 				// Mid-scan probe time, away from temporal-blocking
 				// windows' detection edges.
-				if g := grabber.Grab(ctx, proto.SSH, h, 5*time.Hour); g.Success {
+				v := fab.Predial(h, proto.SSH.Port(), retryAt, 0)
+				if g := grabber.GrabFast(ctx, proto.SSH, h, retryAt, v); g.Success {
 					succ++
 				}
 			}

@@ -103,11 +103,15 @@ func TestV6StudyDeterministic(t *testing.T) {
 	}
 }
 
-// TestV6ParallelMatchesSerial is the v6 variant of the parallel-engine
+// TestV6ParallelMatchesSerial is the v6 variant of the engine
 // differential: the precomputed-schedule concurrent run must be
-// bit-identical to the serial reference over the hitlist walk.
+// bit-identical to the test-side serial oracle over the hitlist walk.
 func TestV6ParallelMatchesSerial(t *testing.T) {
-	_, serialDS := v6Fixture(t)
+	serialStu, err := NewStudy(context.Background(), v6Config(99))
+	if err != nil {
+		t.Fatal(err)
+	}
+	serialDS := serialStudy(t, serialStu)
 	cfg := v6Config(99)
 	cfg.Parallelism = 4
 	cfg.ScanShards = 3

@@ -2,6 +2,7 @@ package fabric
 
 import (
 	"context"
+	"runtime"
 	"testing"
 	"time"
 
@@ -91,7 +92,7 @@ func BenchmarkFabricSend(b *testing.B) {
 // plus the world's full host list. Grabbing every host with every protocol
 // walks the mix a real grab stage sees — accepted handshakes on hosts
 // running the service, refused dials on hosts that don't.
-func benchGrabFabric(b *testing.B) (*Fabric, *zgrab.Grabber, []ip.Addr) {
+func benchGrabFabric(b *testing.B) (*Fabric, []ip.Addr) {
 	b.Helper()
 	w, err := world.Build(context.Background(), world.Spec{Seed: 5, Scale: 0.00002})
 	if err != nil {
@@ -112,44 +113,17 @@ func benchGrabFabric(b *testing.B) (*Fabric, *zgrab.Grabber, []ip.Addr) {
 	for i, h := range w.Hosts() {
 		hosts[i] = h.Addr
 	}
-	g := &zgrab.Grabber{Dialer: fab, Key: rng.NewKey(3), IOTimeout: 5 * time.Second}
-	return fab, g, hosts
+	return fab, hosts
 }
 
 // grabBenchWindow mirrors the experiment layer's grab window size so both
 // grab benchmarks walk identical per-window target sequences.
 const grabBenchWindow = 4096
 
-// BenchmarkGrabReference measures ns/grab on the reference path: per-dial
-// policy evaluation, a vconn pipe and a dedicated server goroutine per
-// accepted connection. This is the "before" of the grab fast-path gate.
-func BenchmarkGrabReference(b *testing.B) {
-	fab, g, hosts := benchGrabFabric(b)
-	ps := proto.All()
-	ctx := context.Background()
-	b.ReportAllocs()
-	b.ResetTimer()
-	for base := 0; base < b.N; base += grabBenchWindow {
-		n := grabBenchWindow
-		if base+n > b.N {
-			n = b.N - base
-		}
-		p := ps[(base/grabBenchWindow)%len(ps)]
-		for i := 0; i < n; i++ {
-			g.Grab(ctx, p, hosts[(base+i)%len(hosts)], time.Hour)
-		}
-	}
-	b.StopTimer()
-	if err := fab.Drain(ctx); err != nil {
-		b.Fatal(err)
-	}
-}
-
-// BenchmarkGrabFast measures ns/grab on the fast path: batched pre-dial
-// verdicts per 4096-target window, pooled inline-served connections, zero
-// goroutines. The bench-grab gate requires fast/reference <= 0.5 (>= 2x).
-func BenchmarkGrabFast(b *testing.B) {
-	fab, g, hosts := benchGrabFabric(b)
+// benchGrabWindows runs b.N grabs through d the way the grab stage does:
+// one PredialBatch per 4096-target window, then one GrabFast per target.
+func benchGrabWindows(b *testing.B, d zgrab.Dialer, hosts []ip.Addr) {
+	g := &zgrab.Grabber{Dialer: d, Key: rng.NewKey(3)}
 	ps := proto.All()
 	ctx := context.Background()
 	dsts := make([]ip.Addr, grabBenchWindow)
@@ -167,13 +141,35 @@ func BenchmarkGrabFast(b *testing.B) {
 			dsts[i] = hosts[(base+i)%len(hosts)]
 			ts[i] = time.Hour
 		}
-		fab.PredialBatch(dsts[:n], ts[:n], p.Port(), vs[:n])
+		d.PredialBatch(dsts[:n], ts[:n], p.Port(), vs[:n])
 		for i := 0; i < n; i++ {
 			g.GrabFast(ctx, p, dsts[i], ts[i], vs[i])
 		}
 	}
 	b.StopTimer()
-	if n := fab.ActiveConns(); n != 0 {
-		b.Fatalf("fast path spawned %d goroutines", n)
+}
+
+// BenchmarkGrabReference measures ns/grab on the test-side reference
+// dialer: per-target verdicts, a vconn pipe and a dedicated server
+// goroutine per accepted connection. This is the "before" of the grab
+// gate.
+func BenchmarkGrabReference(b *testing.B) {
+	fab, hosts := benchGrabFabric(b)
+	ref := newRefDialer(fab)
+	benchGrabWindows(b, ref, hosts)
+	if err := ref.drain(context.Background()); err != nil {
+		b.Fatal(err)
+	}
+}
+
+// BenchmarkGrabFast measures ns/grab through the fabric: batched pre-dial
+// verdicts per 4096-target window, pooled inline-served connections, zero
+// goroutines. The bench-grab gate requires fast/reference <= 0.5 (>= 2x).
+func BenchmarkGrabFast(b *testing.B) {
+	fab, hosts := benchGrabFabric(b)
+	before := runtime.NumGoroutine()
+	benchGrabWindows(b, fab, hosts)
+	if n := runtime.NumGoroutine(); n > before+goroutineSlack {
+		b.Fatalf("fast path left %d goroutines running", n-before)
 	}
 }

@@ -1,8 +1,9 @@
 // Package fabric is the simulated network connecting scanners to the
 // synthetic Internet. It implements zmap.PacketSink (L4: evaluates real SYN
 // packet bytes against routing, policy, outages, and loss, answering with
-// real SYN-ACK/RST bytes) and zgrab.Dialer (L7: hands out virtual
-// connections served by hostsim, subject to the same path conditions).
+// real SYN-ACK/RST bytes) and zgrab.Dialer (L7: evaluates dials against the
+// same path conditions and hands out in-memory connections served inline
+// by hostsim).
 //
 // Every probabilistic decision is a keyed hash of the event coordinates, so
 // a scan through the fabric is deterministic and independent of goroutine
@@ -11,7 +12,6 @@ package fabric
 
 import (
 	"context"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -23,13 +23,10 @@ import (
 	"repro/internal/origin"
 	"repro/internal/outage"
 	"repro/internal/packet"
-	"repro/internal/pipeline"
 	"repro/internal/policy"
 	"repro/internal/proto"
 	"repro/internal/rng"
-	"repro/internal/vconn"
 	"repro/internal/world"
-	"repro/internal/zgrab"
 )
 
 // Config assembles a fabric for one study.
@@ -37,8 +34,9 @@ type Config struct {
 	World  *world.World
 	Engine *policy.Engine
 	// IDSes are the detectors observing this scan's probes: the live
-	// stateful *policy.IDS machines when scans run serially, or read-only
-	// per-scan *policy.ScheduledIDS views when scans run concurrently.
+	// stateful *policy.IDS machines (Study.ScanOne, the SSH retry), or
+	// read-only per-scan *policy.ScheduledIDS views (every scan of
+	// Study.Run).
 	IDSes   []policy.Detector
 	Loss    *loss.Matrix
 	Outages *outage.Schedule
@@ -60,7 +58,7 @@ type Fabric struct {
 	trial int
 	fib   *world.FIB
 
-	// queries recycles policy.Query scratch space: Send and Dial fill a
+	// queries recycles policy.Query scratch space: Send and Predial fill a
 	// pooled query, hand it to the rules, and release it on return, so
 	// probe evaluation allocates nothing. Rules must not retain queries
 	// (see policy.Rule). A pool rather than a single per-fabric query
@@ -76,12 +74,8 @@ type Fabric struct {
 	// so one slice per fabric suffices.
 	preDests []world.Dest
 
-	// conns tracks the per-connection server goroutines this fabric
-	// spawned, so a scan can Drain them before sealing results.
-	conns  sync.WaitGroup
-	active atomic.Int64
 	// opened counts served connections over the fabric's lifetime (the
-	// grab stage's span attribute; active is the instantaneous view).
+	// seal stage's span attribute).
 	opened atomic.Uint64
 }
 
@@ -230,97 +224,12 @@ func (f *Fabric) Send(src ip.Addr, pkt []byte, t time.Duration) []byte {
 	return packet.MakeSYNACK(dst, src, tcph.DstPort, tcph.SrcPort, uint32(seq), tcph.Seq+1)
 }
 
-// Dial implements zgrab.Dialer: attempt a full TCP connection for an
-// application-layer grab. A canceled context fails the dial immediately
-// with the context's error.
-func (f *Fabric) Dial(ctx context.Context, dst ip.Addr, port uint16, t time.Duration, attempt int) (net.Conn, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	d := f.fib.Resolve(dst)
-	if !d.Routed {
-		return nil, zgrab.ErrTimeout
-	}
-	p, isProto := proto.FromPort(port)
-	if !isProto {
-		return nil, zgrab.ErrRefused
-	}
-	if d.Host && f.cfg.Churn.Offline(dst, f.trial) {
-		return nil, zgrab.ErrTimeout
-	}
-	src := origin.SourceFor(f.org.SourceIPs, dst)
-	q := f.query(src, dst, d, p, t, attempt)
-	defer f.release(q)
-
-	verdict, _ := f.cfg.Engine.Evaluate(q)
-	for _, ids := range f.cfg.IDSes {
-		if v, ok := ids.Evaluate(q); ok && v == policy.Silent {
-			return nil, zgrab.ErrTimeout
-		}
-	}
-	switch verdict {
-	case policy.Silent:
-		return nil, zgrab.ErrTimeout
-	case policy.RefuseTCP:
-		return nil, zgrab.ErrRefused
-	}
-	if f.pathDown(dst, d.AS, t) {
-		return nil, zgrab.ErrTimeout
-	}
-	if !d.Host || !d.Services.Has(p) {
-		return nil, zgrab.ErrRefused
-	}
-	// Per-packet loss over the whole handshake exchange: on loss the
-	// connection times out mid-handshake.
-	if f.cfg.Loss.HandshakeFailed(f.org.ID, dst, d.AS.Number, f.trial, attempt) {
-		return nil, zgrab.ErrTimeout
-	}
-
-	client, server := vconn.Pipe(src, dst)
-	switch verdict {
-	// Reset/close-after-accept tear down synchronously, before the client
-	// sees the conn: spawned teardown raced the grabber's first write
-	// (write-then-close → FIN/EOF, close-then-write → EPIPE/RST), making
-	// the recorded FailMode depend on goroutine scheduling. CloseAfterAccept
-	// is a half-close so the client's write is accepted either way.
-	case policy.ResetAfterAccept:
-		server.Abort()
-	case policy.CloseAfterAccept:
-		server.CloseWrite()
-	default:
-		f.conns.Add(1)
-		f.active.Add(1)
-		f.opened.Add(1)
-		go func() {
-			defer f.active.Add(-1)
-			defer f.conns.Done()
-			f.cfg.Hosts.Serve(server, dst, p)
-		}()
-	}
-	return client, nil
-}
-
-// Drain blocks until every per-connection server goroutine this fabric
-// spawned has exited, or ctx is done. A scan seals its results only after a
-// successful drain, so no goroutine outlives its scan.
-func (f *Fabric) Drain(ctx context.Context) error {
-	done := make(chan struct{})
-	go func() {
-		f.conns.Wait()
-		close(done)
-	}()
-	select {
-	case <-done:
-		return nil
-	case <-ctx.Done():
-		return pipeline.Canceled(ctx.Err())
-	}
-}
-
-// ActiveConns reports how many per-connection server goroutines are live.
-func (f *Fabric) ActiveConns() int { return int(f.active.Load()) }
+// Drain returns nil: no connection ever spawns a goroutine (ConnectFast
+// serves inline in the grabber's goroutine), so there is nothing to wait
+// for. It stays so callers that tear a scan down explicitly keep working.
+func (f *Fabric) Drain(ctx context.Context) error { return nil }
 
 // ConnsOpened reports how many served connections the fabric has opened in
 // total (connections refused, reset, or half-closed before serving are not
-// counted — they never spawned a server goroutine).
+// counted).
 func (f *Fabric) ConnsOpened() uint64 { return f.opened.Load() }

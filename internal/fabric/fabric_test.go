@@ -165,8 +165,8 @@ func TestDialAndGrabThroughFabric(t *testing.T) {
 	cfg, w := quietConfig(t)
 	fab := New(cfg, w.Origins.Get(origin.US1), 0)
 	host, _ := pickHost(t, w, proto.HTTP)
-	g := &zgrab.Grabber{Dialer: fab, Key: rng.NewKey(3), IOTimeout: 5 * time.Second}
-	res := g.Grab(context.Background(), proto.HTTP, host, time.Hour)
+	g := &zgrab.Grabber{Dialer: fab, Key: rng.NewKey(3)}
+	res := grab(context.Background(), g, proto.HTTP, host, time.Hour)
 	if !res.Success {
 		t.Fatalf("grab failed: %+v", res)
 	}
@@ -179,9 +179,12 @@ func TestDialRefusedForClosedPort(t *testing.T) {
 	cfg, w := quietConfig(t)
 	fab := New(cfg, w.Origins.Get(origin.US1), 0)
 	_, hostWithoutSSH := pickHost(t, w, proto.SSH)
-	_, err := fab.Dial(context.Background(), hostWithoutSSH, 22, time.Hour, 0)
-	if !errors.Is(err, zgrab.ErrRefused) {
-		t.Errorf("err = %v, want ErrRefused", err)
+	if v := fab.Predial(hostWithoutSSH, 22, time.Hour, 0); v != zgrab.DialRefused {
+		t.Errorf("Predial = %d, want DialRefused", v)
+	}
+	_, err := newRefDialer(fab).Dial(context.Background(), hostWithoutSSH, 22, time.Hour, 0)
+	if !errors.Is(err, errRefused) {
+		t.Errorf("reference Dial err = %v, want refused", err)
 	}
 }
 
@@ -196,8 +199,8 @@ func TestDialResetAfterAcceptBehaviour(t *testing.T) {
 	if fab.Send(src, syn, time.Hour) == nil {
 		t.Fatal("ResetAfterAccept host must still SYN-ACK")
 	}
-	g := &zgrab.Grabber{Dialer: fab, Key: rng.NewKey(4), IOTimeout: 5 * time.Second}
-	res := g.Grab(context.Background(), proto.SSH, host, time.Hour)
+	g := &zgrab.Grabber{Dialer: fab, Key: rng.NewKey(4)}
+	res := grab(context.Background(), g, proto.SSH, host, time.Hour)
 	if res.Success || res.Fail != zgrab.FailReset {
 		t.Errorf("grab = %+v, want FailReset", res)
 	}
@@ -209,8 +212,8 @@ func TestDialCloseAfterAcceptBehaviour(t *testing.T) {
 	})
 	fab := New(cfg, w.Origins.Get(origin.US1), 0)
 	host, _ := pickHost(t, w, proto.SSH)
-	g := &zgrab.Grabber{Dialer: fab, Key: rng.NewKey(5), IOTimeout: 5 * time.Second}
-	res := g.Grab(context.Background(), proto.SSH, host, time.Hour)
+	g := &zgrab.Grabber{Dialer: fab, Key: rng.NewKey(5)}
+	res := grab(context.Background(), g, proto.SSH, host, time.Hour)
 	if res.Success || res.Fail != zgrab.FailClosed {
 		t.Errorf("grab = %+v, want FailClosed", res)
 	}
@@ -237,8 +240,11 @@ func TestIDSBlocksAfterProbeVolume(t *testing.T) {
 		t.Fatalf("IDS transition not observed: answered=%d silent=%d", answered, silent)
 	}
 	// Once detected, dialing also fails.
-	if _, err := fab.Dial(context.Background(), host, 80, time.Hour, 0); !errors.Is(err, zgrab.ErrTimeout) {
-		t.Errorf("dial after detection = %v, want timeout", err)
+	if v := fab.Predial(host, 80, time.Hour, 0); v != zgrab.DialTimeout {
+		t.Errorf("Predial after detection = %d, want DialTimeout", v)
+	}
+	if _, err := newRefDialer(fab).Dial(context.Background(), host, 80, time.Hour, 0); !errors.Is(err, errTimeout) {
+		t.Errorf("reference dial after detection = %v, want timeout", err)
 	}
 }
 
@@ -260,32 +266,45 @@ func TestEpisodeKillsProbesAndDial(t *testing.T) {
 	if fab.Send(src, syn, time.Hour) != nil {
 		t.Error("probe survived a full-loss episode")
 	}
-	if _, err := fab.Dial(context.Background(), host, 80, time.Hour, 0); !errors.Is(err, zgrab.ErrTimeout) {
-		t.Errorf("dial during episode = %v, want timeout", err)
+	if v := fab.Predial(host, 80, time.Hour, 0); v != zgrab.DialTimeout {
+		t.Errorf("Predial during episode = %d, want DialTimeout", v)
+	}
+	if _, err := newRefDialer(fab).Dial(context.Background(), host, 80, time.Hour, 0); !errors.Is(err, errTimeout) {
+		t.Errorf("reference dial during episode = %v, want timeout", err)
 	}
 }
 
+// TestDrainWaitsForConnTeardown pins both teardown contracts: the
+// reference dialer's drain waits for its server goroutines (giving up with
+// ErrCanceled while a conn is open), and the fabric's own Drain has
+// nothing to wait for, so it returns nil even under a canceled context.
 func TestDrainWaitsForConnTeardown(t *testing.T) {
 	cfg, w := quietConfig(t)
 	fab := New(cfg, w.Origins.Get(origin.US1), 0)
+	ref := newRefDialer(fab)
 	host, _ := pickHost(t, w, proto.HTTP)
-	conn, err := fab.Dial(context.Background(), host, 80, time.Hour, 0)
+	conn, err := ref.Dial(context.Background(), host, 80, time.Hour, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// While the client half is open, the server goroutine is live and a
-	// bounded Drain must give up with ErrCanceled rather than hang.
+	// bounded drain must give up with ErrCanceled rather than hang.
 	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
 	defer cancel()
-	if err := fab.Drain(ctx); !errors.Is(err, pipeline.ErrCanceled) {
-		t.Errorf("Drain with open conn = %v, want ErrCanceled", err)
+	if err := ref.drain(ctx); !errors.Is(err, pipeline.ErrCanceled) {
+		t.Errorf("drain with open conn = %v, want ErrCanceled", err)
 	}
 	conn.Close()
-	if err := fab.Drain(context.Background()); err != nil {
-		t.Fatalf("Drain after close: %v", err)
+	if err := ref.drain(context.Background()); err != nil {
+		t.Fatalf("drain after close: %v", err)
 	}
-	if n := fab.ActiveConns(); n != 0 {
+	if n := ref.ActiveConns(); n != 0 {
 		t.Errorf("ActiveConns = %d after drain, want 0", n)
+	}
+	canceled, cancelNow := context.WithCancel(context.Background())
+	cancelNow()
+	if err := fab.Drain(canceled); err != nil {
+		t.Errorf("fabric Drain = %v, want nil", err)
 	}
 }
 

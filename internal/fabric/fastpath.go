@@ -1,16 +1,15 @@
-// The grab fast path: batched pre-dial evaluation plus inline-served,
-// pooled connections. Dial pays per connection for a vconn pipe (two
-// windowed buffers, two conn wrappers) and a dedicated server goroutine;
-// at Scale=1.0 the grab stage performs ~53M L7 handshakes, so that
-// per-connection concurrency tax dominates study wall time. The fast path
-// splits the dial in two: Predial/PredialBatch run the entire decision
-// chain (routing, protocol, churn, policy, IDS, outages/episodes,
-// handshake loss) without touching connection setup — safe because every
-// decision is a keyed hash of the event coordinates and the grab-time IDS
-// view is read-only — and ConnectFast materializes accepting verdicts as
-// pooled fastConns whose server side runs inline in the grabber's
-// goroutine (hostsim.ServeInline). Dial remains the reference
-// implementation; differential tests pin the two paths bit-identical.
+// The grab path: batched pre-dial evaluation plus inline-served, pooled
+// connections. At Scale=1.0 the grab stage performs ~53M L7 handshakes, so
+// no connection may pay for a pipe or a server goroutine. The dial is
+// split in two: Predial/PredialBatch run the entire decision chain
+// (routing, protocol, churn, policy, IDS, outages/episodes, handshake
+// loss) without touching connection setup — safe because every decision
+// is a keyed hash of the event coordinates and the grab-time IDS view is
+// read-only — and ConnectFast materializes accepting verdicts as pooled
+// fastConns whose server side runs inline in the grabber's goroutine
+// (hostsim.ServeInline). The goroutine-per-connection dial this replaced
+// survives only in the package tests, as the reference the differential
+// tests pin this path against.
 package fabric
 
 import (
@@ -18,27 +17,25 @@ import (
 	"io"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 
 	"repro/internal/ip"
 	"repro/internal/origin"
 	"repro/internal/policy"
 	"repro/internal/proto"
-	"repro/internal/vconn"
 	"repro/internal/world"
 	"repro/internal/zgrab"
 )
 
-// Predial implements zgrab.FastDialer: evaluate one dial's verdict without
-// opening a connection. The decision sequence — including the order policy
-// and IDS verdicts, path conditions, and handshake loss are consulted —
-// replicates Dial exactly. Safe for concurrent use (pooled queries, no
-// shared scratch).
+// Predial implements zgrab.Dialer: evaluate one dial's verdict without
+// opening a connection. Safe for concurrent use (pooled queries, no shared
+// scratch).
 func (f *Fabric) Predial(dst ip.Addr, port uint16, t time.Duration, attempt int) zgrab.DialVerdict {
 	return f.predialEval(dst, f.fib.Resolve(dst), port, t, attempt)
 }
 
-// PredialBatch implements zgrab.FastDialer: evaluate attempt 0 for a whole
+// PredialBatch implements zgrab.Dialer: evaluate attempt 0 for a whole
 // grab window, resolving the FIB in bulk first (same-/24 neighbors share
 // directory ranks). Single-caller by contract: it reuses the fabric's
 // resolution scratch.
@@ -53,9 +50,11 @@ func (f *Fabric) PredialBatch(dsts []ip.Addr, ts []time.Duration, port uint16, o
 	}
 }
 
-// predialEval is the connectionless dial decision chain. Every branch
-// mirrors Dial line for line; the accepting verdicts defer their
-// connection effects (reset / half-close / serve) to ConnectFast.
+// predialEval is the connectionless dial decision chain; the order in which
+// policy and IDS verdicts, path conditions, and handshake loss are
+// consulted is pinned against the reference dial by TestPredialMatchesDial.
+// The accepting verdicts defer their connection effects (reset /
+// half-close / serve) to ConnectFast.
 func (f *Fabric) predialEval(dst ip.Addr, d world.Dest, port uint16, t time.Duration, attempt int) zgrab.DialVerdict {
 	if !d.Routed {
 		return zgrab.DialTimeout
@@ -101,10 +100,8 @@ func (f *Fabric) predialEval(dst ip.Addr, d world.Dest, port uint16, t time.Dura
 	return zgrab.DialConnect
 }
 
-// ConnectFast implements zgrab.FastDialer: turn an accepting verdict into
-// a pooled connection. Only served connections count toward ConnsOpened,
-// matching Dial (reset/half-closed conns never spawned a server there
-// either); nothing counts toward ActiveConns — there is no goroutine.
+// ConnectFast implements zgrab.Dialer: turn an accepting verdict into a
+// pooled connection. Only served connections count toward ConnsOpened.
 func (f *Fabric) ConnectFast(dst ip.Addr, port uint16, v zgrab.DialVerdict) net.Conn {
 	p, _ := proto.FromPort(port)
 	c := fastConns.Get().(*fastConn)
@@ -133,24 +130,20 @@ const (
 	// fastServe: accepted; the host serves inline on the first read.
 	fastServe uint8 = iota
 	// fastReset: accepted then reset before the client saw the conn
-	// (policy.ResetAfterAccept) — reads and writes see vconn.ErrReset,
-	// exactly what the reference's synchronous server.Abort produces.
+	// (policy.ResetAfterAccept) — reads and writes see ECONNRESET.
 	fastReset
 	// fastHalfClosed: accepted then FIN (policy.CloseAfterAccept) —
-	// writes are accepted, reads see io.EOF, like the reference's
-	// server.CloseWrite.
+	// writes are accepted, reads see io.EOF.
 	fastHalfClosed
 )
 
 // fastConn is an inline-served client connection: client writes accumulate
 // in `in`; the first read runs the host's whole response flight via
 // hostsim.ServeInline and then drains it, followed by io.EOF (the server's
-// orderly close). That is byte-identical to the goroutine path for the
+// orderly close). That is byte-identical to a goroutine-served pipe for the
 // turn-based grabbers, which write their complete opening flight before
 // reading — a client that interleaved reads into an unfinished flight
-// would see EOF where the goroutine path would block, which no grabber
-// does (the experiment layer routes wrapped/unknown dialers to the
-// reference path).
+// would see EOF where a live server would block, which no grabber does.
 type fastConn struct {
 	fab    *Fabric
 	host   ip.Addr
@@ -173,7 +166,7 @@ func (c *fastConn) Read(p []byte) (int, error) {
 	}
 	switch c.state {
 	case fastReset:
-		return 0, vconn.ErrReset
+		return 0, syscall.ECONNRESET
 	case fastHalfClosed:
 		return 0, io.EOF
 	}
@@ -192,7 +185,7 @@ func (c *fastConn) Write(p []byte) (int, error) {
 	}
 	switch c.state {
 	case fastReset:
-		return 0, vconn.ErrReset
+		return 0, syscall.ECONNRESET
 	case fastHalfClosed:
 		// The server half-closed only its direction: client writes are
 		// accepted (and, with no reader left, discarded).
@@ -200,13 +193,13 @@ func (c *fastConn) Write(p []byte) (int, error) {
 	}
 	if c.served {
 		// The inline server already ran its single flight and closed;
-		// writing to a closed reader is an RST, as on the vconn path.
-		return 0, vconn.ErrReset
+		// writing to a closed reader is an RST.
+		return 0, syscall.ECONNRESET
 	}
 	return c.in.Write(p)
 }
 
-// Close returns the conn to the pool. Idempotent, like vconn.Conn.Close.
+// Close returns the conn to the pool. Idempotent.
 func (c *fastConn) Close() error {
 	if c.closed {
 		return nil
@@ -223,11 +216,22 @@ func (c *fastConn) Close() error {
 // LocalAddr implements net.Conn; the source is derived lazily — grabbers
 // never read connection addresses.
 func (c *fastConn) LocalAddr() net.Addr {
-	return vconn.Addr{IP: origin.SourceFor(c.fab.org.SourceIPs, c.host)}
+	return connAddr(origin.SourceFor(c.fab.org.SourceIPs, c.host))
 }
 
 // RemoteAddr implements net.Conn.
-func (c *fastConn) RemoteAddr() net.Addr { return vconn.Addr{IP: c.host} }
+func (c *fastConn) RemoteAddr() net.Addr { return connAddr(c.host) }
+
+// connAddr is a fastConn endpoint. It formats the address only when
+// String is called: net.Conn requires addresses, but grabbers never read
+// them, so a dial must not pay for the conversion up front.
+type connAddr ip.Addr
+
+// Network returns the virtual network name.
+func (a connAddr) Network() string { return "vtcp" }
+
+// String formats the endpoint address.
+func (a connAddr) String() string { return ip.Addr(a).String() }
 
 // SetDeadline implements net.Conn: inline reads never block, so deadlines
 // are no-ops.

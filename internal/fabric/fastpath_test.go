@@ -3,6 +3,7 @@ package fabric
 import (
 	"context"
 	"errors"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -63,9 +64,9 @@ func diffTargets(t *testing.T, w *world.World) []ip.Addr {
 	return append(dsts, w.Origins.Get(origin.US1).SourceIPs[0].Add(1))
 }
 
-// TestPredialMatchesDial pins the connectionless verdict to Dial's
-// observable outcome for every policy treatment, destination class, port,
-// and attempt number, including churned-offline hosts.
+// TestPredialMatchesDial pins the connectionless verdict to the reference
+// Dial's observable outcome for every policy treatment, destination class,
+// port, and attempt number, including churned-offline hosts.
 func TestPredialMatchesDial(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range fastCases() {
@@ -73,17 +74,18 @@ func TestPredialMatchesDial(t *testing.T) {
 			cfg, w := quietConfig(t, tc.rules...)
 			cfg.Churn = world.NewChurn(rng.NewKey(7), 0.3, 3)
 			fab := New(cfg, w.Origins.Get(origin.US1), 0)
+			ref := newRefDialer(fab)
 			for _, dst := range diffTargets(t, w) {
 				for _, port := range []uint16{80, 443, 22} {
 					for attempt := 0; attempt < 3; attempt++ {
 						v := fab.Predial(dst, port, time.Hour, attempt)
-						conn, err := fab.Dial(ctx, dst, port, time.Hour, attempt)
+						conn, err := ref.Dial(ctx, dst, port, time.Hour, attempt)
 						switch {
-						case errors.Is(err, zgrab.ErrTimeout):
+						case errors.Is(err, errTimeout):
 							if v != zgrab.DialTimeout {
 								t.Fatalf("%v:%d attempt %d: Dial timeout, Predial %d", dst, port, attempt, v)
 							}
-						case errors.Is(err, zgrab.ErrRefused):
+						case errors.Is(err, errRefused):
 							if v != zgrab.DialRefused {
 								t.Fatalf("%v:%d attempt %d: Dial refused, Predial %d", dst, port, attempt, v)
 							}
@@ -98,7 +100,7 @@ func TestPredialMatchesDial(t *testing.T) {
 					}
 				}
 			}
-			if err := fab.Drain(ctx); err != nil {
+			if err := ref.drain(ctx); err != nil {
 				t.Fatal(err)
 			}
 		})
@@ -125,28 +127,28 @@ func TestPredialBatchMatchesPredial(t *testing.T) {
 	}
 }
 
-// grabPair builds a reference and a fast fabric over one shared config
-// (the engine and loss models are stateless keyed hashes; sharing them is
-// exactly what one scan does) with separate connection accounting.
-func grabPair(t *testing.T, retries int, lossCfg *loss.Config, rules ...policy.Rule) (*Fabric, *Fabric, *zgrab.Grabber, *zgrab.Grabber, *world.World) {
+// grabPair builds a reference dialer and a fast fabric over one shared
+// config (the engine and loss models are stateless keyed hashes; sharing
+// them is exactly what one scan does) with separate connection accounting.
+func grabPair(t *testing.T, retries int, lossCfg *loss.Config, rules ...policy.Rule) (*refDialer, *Fabric, *zgrab.Grabber, *zgrab.Grabber, *world.World) {
 	t.Helper()
 	cfg, w := quietConfig(t, rules...)
 	cfg.Churn = world.NewChurn(rng.NewKey(7), 0.2, 3)
 	if lossCfg != nil {
 		cfg.Loss = loss.NewMatrix(rng.NewKey(1).Derive("t"), *lossCfg)
 	}
-	fabR := New(cfg, w.Origins.Get(origin.US1), 0)
+	ref := newRefDialer(New(cfg, w.Origins.Get(origin.US1), 0))
 	fabF := New(cfg, w.Origins.Get(origin.US1), 0)
-	gR := &zgrab.Grabber{Dialer: fabR, Retries: retries, Key: rng.NewKey(3), IOTimeout: 5 * time.Second}
+	gR := &zgrab.Grabber{Dialer: ref, Retries: retries, Key: rng.NewKey(3)}
 	gF := &zgrab.Grabber{Dialer: fabF, Retries: retries, Key: rng.NewKey(3)}
-	return fabR, fabF, gR, gF, w
+	return ref, fabF, gR, gF, w
 }
 
 // TestGrabFastMatchesReference is the end-to-end differential: for every
-// policy treatment and protocol, the fast path's zgrab.Result (success,
+// policy treatment and protocol, the fabric's zgrab.Result (success,
 // failure mode, banner bytes, attempts) must equal the goroutine+vconn
-// reference grab for every host in the world, with zero goroutines live on
-// the fast path and identical ConnsOpened accounting.
+// reference grab for every host in the world, with no goroutine started by
+// any fabric grab and identical ConnsOpened accounting.
 func TestGrabFastMatchesReference(t *testing.T) {
 	ctx := context.Background()
 	for _, tc := range fastCases() {
@@ -155,25 +157,33 @@ func TestGrabFastMatchesReference(t *testing.T) {
 			retries = 8 // §6: immediate retries recover MaxStartups hosts
 		}
 		t.Run(tc.name, func(t *testing.T) {
-			fabR, fabF, gR, gF, w := grabPair(t, retries, nil, tc.rules...)
+			ref, fabF, gR, gF, w := grabPair(t, retries, nil, tc.rules...)
+			var refs []zgrab.Result
 			for _, p := range proto.All() {
 				for _, h := range w.Hosts() {
-					ref := gR.Grab(ctx, p, h.Addr, time.Hour)
-					v := fabF.Predial(h.Addr, p.Port(), time.Hour, 0)
-					fast := gF.GrabFast(ctx, p, h.Addr, time.Hour, v)
-					if ref != fast {
-						t.Fatalf("%v/%v: fast %+v != reference %+v", p, h.Addr, fast, ref)
-					}
-					if n := fabF.ActiveConns(); n != 0 {
-						t.Fatalf("fast path spawned %d goroutines", n)
-					}
+					refs = append(refs, grab(ctx, gR, p, h.Addr, time.Hour))
 				}
 			}
-			if err := fabR.Drain(ctx); err != nil {
+			if err := ref.drain(ctx); err != nil {
 				t.Fatal(err)
 			}
-			if fabR.ConnsOpened() != fabF.ConnsOpened() {
-				t.Errorf("ConnsOpened: reference %d, fast %d", fabR.ConnsOpened(), fabF.ConnsOpened())
+			before := runtime.NumGoroutine()
+			i := 0
+			for _, p := range proto.All() {
+				for _, h := range w.Hosts() {
+					v := fabF.Predial(h.Addr, p.Port(), time.Hour, 0)
+					fast := gF.GrabFast(ctx, p, h.Addr, time.Hour, v)
+					if fast != refs[i] {
+						t.Fatalf("%v/%v: fast %+v != reference %+v", p, h.Addr, fast, refs[i])
+					}
+					if n := runtime.NumGoroutine(); n > before+goroutineSlack {
+						t.Fatalf("fast path started %d goroutines", n-before)
+					}
+					i++
+				}
+			}
+			if ref.ConnsOpened() != fabF.ConnsOpened() {
+				t.Errorf("ConnsOpened: reference %d, fast %d", ref.ConnsOpened(), fabF.ConnsOpened())
 			}
 		})
 	}
@@ -189,31 +199,32 @@ func TestGrabFastMatchesReferenceLossy(t *testing.T) {
 		VolatileSpreadFrac: 0.5, VolatileModerateFrac: 0.3,
 		StableAlpha: 1,
 	}
-	fabR, fabF, gR, gF, w := grabPair(t, 3, lossy)
+	ref, fabF, gR, gF, w := grabPair(t, 3, lossy)
 	for _, h := range w.Hosts() {
-		ref := gR.Grab(ctx, proto.SSH, h.Addr, time.Hour)
+		want := grab(ctx, gR, proto.SSH, h.Addr, time.Hour)
 		v := fabF.Predial(h.Addr, proto.SSH.Port(), time.Hour, 0)
 		fast := gF.GrabFast(ctx, proto.SSH, h.Addr, time.Hour, v)
-		if ref != fast {
-			t.Fatalf("%v: fast %+v != reference %+v (lossy)", h.Addr, fast, ref)
+		if want != fast {
+			t.Fatalf("%v: fast %+v != reference %+v (lossy)", h.Addr, fast, want)
 		}
 	}
-	if err := fabR.Drain(ctx); err != nil {
+	if err := ref.drain(ctx); err != nil {
 		t.Fatal(err)
 	}
-	if fabR.ConnsOpened() != fabF.ConnsOpened() {
-		t.Errorf("ConnsOpened: reference %d, fast %d", fabR.ConnsOpened(), fabF.ConnsOpened())
+	if ref.ConnsOpened() != fabF.ConnsOpened() {
+		t.Errorf("ConnsOpened: reference %d, fast %d", ref.ConnsOpened(), fabF.ConnsOpened())
 	}
 }
 
 // TestGrabFastParallelWindow drives the fast path the way the grab stage
 // does — PredialBatch over a window, concurrent workers grabbing with the
 // precomputed verdicts, conns recycled through the pool — and requires the
-// exact serial reference results, zero goroutines throughout, and matching
-// ConnsOpened. Run under -race this is also the pool-safety proof.
+// exact serial reference results, no goroutine beyond the workers
+// throughout, and matching ConnsOpened. Run under -race this is also the
+// pool-safety proof.
 func TestGrabFastParallelWindow(t *testing.T) {
 	ctx := context.Background()
-	fabR, fabF, gR, gF, w := grabPair(t, 1, nil)
+	ref, fabF, gR, gF, w := grabPair(t, 1, nil)
 	hosts := w.Hosts()
 	dsts := make([]ip.Addr, len(hosts))
 	ts := make([]time.Duration, len(hosts))
@@ -224,15 +235,48 @@ func TestGrabFastParallelWindow(t *testing.T) {
 
 	refs := make([]zgrab.Result, len(dsts))
 	for i, d := range dsts {
-		refs[i] = gR.Grab(ctx, proto.HTTP, d, ts[i])
+		refs[i] = grab(ctx, gR, proto.HTTP, d, ts[i])
 	}
-	if err := fabR.Drain(ctx); err != nil {
+	if err := ref.drain(ctx); err != nil {
 		t.Fatal(err)
 	}
 
+	const workers = 8
+	// The test's own goroutines: the watcher and the workers. The watcher
+	// samples only while every worker is running and grabbing: starting or
+	// exiting goroutines moves them between the runtime's free lists, and
+	// NumGoroutine can over-count while that happens.
+	limit := runtime.NumGoroutine() + 1 + workers + goroutineSlack
 	verdicts := make([]zgrab.DialVerdict, len(dsts))
 	fabF.PredialBatch(dsts, ts, proto.HTTP.Port(), verdicts)
 	fasts := make([]zgrab.Result, len(dsts))
+	var ready, grabbing, wg sync.WaitGroup
+	start, release := make(chan struct{}), make(chan struct{})
+	var next int64
+	var mu sync.Mutex
+	for wk := 0; wk < workers; wk++ {
+		ready.Add(1)
+		grabbing.Add(1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ready.Done()
+			<-start
+			for {
+				mu.Lock()
+				i := int(next)
+				next++
+				mu.Unlock()
+				if i >= len(dsts) {
+					break
+				}
+				fasts[i] = gF.GrabFast(ctx, proto.HTTP, dsts[i], ts[i], verdicts[i])
+			}
+			grabbing.Done()
+			<-release
+		}()
+	}
+	ready.Wait()
 	stop := make(chan struct{})
 	var watcher sync.WaitGroup
 	watcher.Add(1)
@@ -244,49 +288,29 @@ func TestGrabFastParallelWindow(t *testing.T) {
 			case <-stop:
 				return
 			default:
-				if fabF.ActiveConns() != 0 {
+				if runtime.NumGoroutine() > limit {
 					leaked = true
 					return
 				}
 			}
 		}
 	}()
-	var wg sync.WaitGroup
-	const workers = 8
-	var next int64
-	var mu sync.Mutex
-	for wk := 0; wk < workers; wk++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				mu.Lock()
-				i := int(next)
-				next++
-				mu.Unlock()
-				if i >= len(dsts) {
-					return
-				}
-				fasts[i] = gF.GrabFast(ctx, proto.HTTP, dsts[i], ts[i], verdicts[i])
-			}
-		}()
-	}
-	wg.Wait()
+	close(start)
+	grabbing.Wait()
 	close(stop)
 	watcher.Wait()
+	close(release)
+	wg.Wait()
 	if leaked {
-		t.Error("fast path had live server goroutines mid-stage")
+		t.Error("fast path had extra goroutines mid-stage")
 	}
 	for i := range refs {
 		if refs[i] != fasts[i] {
 			t.Fatalf("%v: parallel fast %+v != serial reference %+v", dsts[i], fasts[i], refs[i])
 		}
 	}
-	if fabR.ConnsOpened() != fabF.ConnsOpened() {
-		t.Errorf("ConnsOpened: reference %d, fast %d", fabR.ConnsOpened(), fabF.ConnsOpened())
-	}
-	if fabF.ActiveConns() != 0 {
-		t.Errorf("ActiveConns = %d after fast grab stage, want 0", fabF.ActiveConns())
+	if ref.ConnsOpened() != fabF.ConnsOpened() {
+		t.Errorf("ConnsOpened: reference %d, fast %d", ref.ConnsOpened(), fabF.ConnsOpened())
 	}
 }
 
@@ -294,20 +318,20 @@ func TestGrabFastParallelWindow(t *testing.T) {
 // context produces the same timeout-classified, retry-free result on both
 // paths.
 func TestGrabFastCanceledContext(t *testing.T) {
-	fabR, fabF, gR, gF, w := grabPair(t, 4, nil)
+	ref, fabF, gR, gF, w := grabPair(t, 4, nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	h := w.Hosts()[0].Addr
-	ref := gR.Grab(ctx, proto.HTTP, h, time.Hour)
+	want := grab(ctx, gR, proto.HTTP, h, time.Hour)
 	v := fabF.Predial(h, proto.HTTP.Port(), time.Hour, 0)
 	fast := gF.GrabFast(ctx, proto.HTTP, h, time.Hour, v)
-	if ref != fast {
-		t.Errorf("canceled grab: fast %+v != reference %+v", fast, ref)
+	if want != fast {
+		t.Errorf("canceled grab: fast %+v != reference %+v", fast, want)
 	}
 	if fast.Fail != zgrab.FailTimeout || fast.Attempts != 1 {
 		t.Errorf("canceled grab = %+v, want single timeout attempt", fast)
 	}
-	_ = fabR.Drain(context.Background())
+	_ = ref.drain(context.Background())
 }
 
 // TestGrabFastIDSDetection: once a stateful IDS has crossed its detection
@@ -326,7 +350,7 @@ func TestGrabFastIDSDetection(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		fab.Send(src, syn, time.Hour)
 	}
-	if _, err := fab.Dial(ctx, host, 80, time.Hour, 0); !errors.Is(err, zgrab.ErrTimeout) {
+	if _, err := newRefDialer(fab).Dial(ctx, host, 80, time.Hour, 0); !errors.Is(err, errTimeout) {
 		t.Fatalf("reference dial after detection = %v, want timeout", err)
 	}
 	if v := fab.Predial(host, 80, time.Hour, 0); v != zgrab.DialTimeout {

@@ -8,10 +8,11 @@
 package vconn
 
 import (
-	"errors"
+	"fmt"
 	"io"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 
 	"repro/internal/ip"
@@ -20,8 +21,9 @@ import (
 // Errors surfaced by aborted connections.
 var (
 	// ErrReset is returned from Read/Write after the peer aborts the
-	// connection (TCP RST semantics).
-	ErrReset = errors.New("vconn: connection reset by peer")
+	// connection (TCP RST semantics). It wraps syscall.ECONNRESET, the
+	// errno a real TCP reset carries, so callers classify both alike.
+	ErrReset = fmt.Errorf("vconn: %w", syscall.ECONNRESET)
 )
 
 // Addr is the net.Addr implementation for virtual connections. It stores

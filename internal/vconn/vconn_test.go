@@ -5,6 +5,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"syscall"
 	"testing"
 	"time"
 
@@ -61,6 +62,9 @@ func TestAbortDeliversReset(t *testing.T) {
 	}
 	if _, err := s.Write([]byte("x")); !errors.Is(err, ErrReset) {
 		t.Errorf("write after abort = %v, want ErrReset", err)
+	}
+	if !errors.Is(ErrReset, syscall.ECONNRESET) {
+		t.Errorf("ErrReset %v does not match syscall.ECONNRESET", ErrReset)
 	}
 }
 

@@ -14,6 +14,7 @@ import (
 	"io"
 	"net"
 	"sync"
+	"syscall"
 	"time"
 
 	"repro/internal/httpwire"
@@ -23,7 +24,6 @@ import (
 	"repro/internal/sshwire"
 	"repro/internal/telemetry"
 	"repro/internal/tlslite"
-	"repro/internal/vconn"
 )
 
 // FailMode classifies why a grab failed; §6 of the paper distinguishes
@@ -58,24 +58,8 @@ type Result struct {
 	Attempts int    // connection attempts used (≥1)
 }
 
-// Dialer abstracts the transport: the simulation fabric implements it, and
-// netDialer adapts real TCP for tests/tools.
-type Dialer interface {
-	// Dial opens a connection to dst:port for the attempt-th try at
-	// virtual time t. Implementations must respect ctx cancellation: a
-	// canceled context fails the dial (the grabber classifies it as a
-	// timeout and stops retrying).
-	Dial(ctx context.Context, dst ip.Addr, port uint16, t time.Duration, attempt int) (net.Conn, error)
-}
-
-// Sentinel errors a Dialer can return to signal L4 failure modes.
-var (
-	ErrTimeout = errors.New("zgrab: connection timed out")
-	ErrRefused = errors.New("zgrab: connection refused")
-)
-
 // DialVerdict is a dial decision computed without opening a connection:
-// the batched fast path evaluates a whole grab window's routing, churn,
+// the grab stage evaluates a whole grab window's routing, churn,
 // policy/IDS, path, and handshake-loss checks up front, so the ~80% of
 // attempts that die at L4 never touch connection setup.
 type DialVerdict uint8
@@ -97,14 +81,12 @@ const (
 	DialConnect
 )
 
-// FastDialer is the batched fast path a Dialer may additionally support:
-// verdicts are precomputed per window (PredialBatch) or per retry attempt
-// (Predial), and ConnectFast turns a would-accept verdict into a pooled,
-// inline-served connection with no goroutine behind it. Implementations
-// must guarantee Predial+ConnectFast observe exactly the decision sequence
-// Dial observes, so GrabFast results are bit-identical to Grab.
-type FastDialer interface {
-	Dialer
+// Dialer abstracts the transport as a two-step dial: verdicts are
+// computed per window (PredialBatch) or per retry attempt (Predial) without
+// opening a connection, and ConnectFast turns a would-accept verdict into a
+// connection. The simulation fabric implements it with pooled,
+// inline-served connections that have no goroutine behind them.
+type Dialer interface {
 	// Predial evaluates one dial without connecting. Safe for concurrent
 	// use (the grab worker pool retries concurrently).
 	Predial(dst ip.Addr, port uint16, t time.Duration, attempt int) DialVerdict
@@ -114,7 +96,8 @@ type FastDialer interface {
 	// concurrent use with itself — one caller owns the window.
 	PredialBatch(dsts []ip.Addr, ts []time.Duration, port uint16, out []DialVerdict)
 	// ConnectFast materializes a connection for an accepting verdict
-	// (DialReset, DialHalfClose, or DialConnect).
+	// (DialReset, DialHalfClose, or DialConnect). A reset connection's
+	// reads and writes fail with an error matching syscall.ECONNRESET.
 	ConnectFast(dst ip.Addr, port uint16, v DialVerdict) net.Conn
 }
 
@@ -127,8 +110,9 @@ type Grabber struct {
 	Retries int
 	// Key derives the client randoms for TLS.
 	Key rng.Key
-	// IOTimeout bounds each read/write on real connections (default 10s;
-	// virtual connections complete instantly so it rarely matters).
+	// IOTimeout is unused: GrabFast sets no deadline, because simulated
+	// connections never stall. The field stays for callers that still
+	// fill it in.
 	IOTimeout time.Duration
 	// Metrics, when set, counts dials, handshakes, retries, and failure
 	// modes for this grabber's scan. The grab path is per-host, so each
@@ -166,60 +150,8 @@ func (g *Grabber) count(res *Result, attempt int) {
 	}
 }
 
-// Grab performs the grab for p against dst at virtual time t, retrying per
-// the grabber's budget. A canceled context stops the retry loop after the
-// in-flight attempt; the last attempt's (failed) result is returned so the
-// caller, which is being torn down anyway, still sees a well-formed value.
-func (g *Grabber) Grab(ctx context.Context, p proto.Protocol, dst ip.Addr, t time.Duration) Result {
-	var last Result
-	for attempt := 0; attempt <= g.Retries; attempt++ {
-		var began time.Time
-		if g.Metrics != nil {
-			began = time.Now()
-		}
-		last = g.grabOnce(ctx, p, dst, t, attempt)
-		last.Attempts = attempt + 1
-		g.count(&last, attempt)
-		if last.Success || ctx.Err() != nil {
-			return last
-		}
-		// Refused and timed-out connections are retried like any
-		// other failure: §6 shows immediate retries recover
-		// MaxStartups hosts. RetrySeconds attributes the wall time
-		// those extra attempts cost a grab worker.
-		if g.Metrics != nil && attempt < g.Retries {
-			g.Metrics.RetrySeconds.ObserveDuration(time.Since(began))
-		}
-	}
-	return last
-}
-
-func (g *Grabber) grabOnce(ctx context.Context, p proto.Protocol, dst ip.Addr, t time.Duration, attempt int) Result {
-	res := Result{Proto: p}
-	// The dial vs handshake latency split reads the clock only with a
-	// live bundle: a disabled grabber pays two nil checks per attempt.
-	var dialStart time.Time
-	if g.Metrics != nil {
-		dialStart = time.Now()
-	}
-	conn, err := g.Dialer.Dial(ctx, dst, p.Port(), t, attempt)
-	if g.Metrics != nil {
-		g.Metrics.DialSeconds.ObserveDuration(time.Since(dialStart))
-	}
-	if err != nil {
-		res.Fail = classifyDialError(err)
-		return res
-	}
-	defer conn.Close()
-	if g.IOTimeout > 0 {
-		_ = conn.SetDeadline(time.Now().Add(g.IOTimeout))
-	}
-	g.exchange(conn, p, dst, &res)
-	return res
-}
-
 // exchange runs the application-layer handshake on an established
-// connection, shared by the reference and fast grab paths.
+// connection.
 func (g *Grabber) exchange(conn net.Conn, p proto.Protocol, dst ip.Addr, res *Result) {
 	var hsStart time.Time
 	if g.Metrics != nil {
@@ -265,27 +197,30 @@ func (sc *scratch) put() {
 	scratches.Put(sc)
 }
 
-// GrabFast performs the grab for p against dst on the batched fast path:
-// v is attempt 0's verdict, precomputed by PredialBatch over the grab
-// window; retry attempts re-evaluate through Predial (verdicts depend on
-// the attempt number — MaxStartups hosts admit immediate retries). The
-// retry loop, metric accounting, and failure classification mirror Grab
-// exactly; the Dialer must implement FastDialer. Results are bit-identical
-// to Grab (enforced by the fabric and experiment differential tests).
+// GrabFast performs the grab for p against dst at virtual time t: v is
+// attempt 0's verdict, precomputed by PredialBatch over the grab window;
+// retry attempts re-evaluate through Predial (verdicts depend on the
+// attempt number — MaxStartups hosts admit immediate retries). A canceled
+// context stops the retry loop after the in-flight attempt; the last
+// attempt's (failed) result is returned so the caller, which is being torn
+// down anyway, still sees a well-formed value.
 func (g *Grabber) GrabFast(ctx context.Context, p proto.Protocol, dst ip.Addr, t time.Duration, v DialVerdict) Result {
-	fd := g.Dialer.(FastDialer)
 	var last Result
 	for attempt := 0; attempt <= g.Retries; attempt++ {
 		var began time.Time
 		if g.Metrics != nil {
 			began = time.Now()
 		}
-		last = g.grabOnceFast(ctx, fd, p, dst, t, attempt, v)
+		last = g.grabAttempt(ctx, p, dst, t, attempt, v)
 		last.Attempts = attempt + 1
 		g.count(&last, attempt)
 		if last.Success || ctx.Err() != nil {
 			return last
 		}
+		// Refused and timed-out connections are retried like any
+		// other failure: §6 shows immediate retries recover
+		// MaxStartups hosts. RetrySeconds attributes the wall time
+		// those extra attempts cost a grab worker.
 		if g.Metrics != nil && attempt < g.Retries {
 			g.Metrics.RetrySeconds.ObserveDuration(time.Since(began))
 		}
@@ -293,15 +228,16 @@ func (g *Grabber) GrabFast(ctx context.Context, p proto.Protocol, dst ip.Addr, t
 	return last
 }
 
-func (g *Grabber) grabOnceFast(ctx context.Context, fd FastDialer, p proto.Protocol, dst ip.Addr, t time.Duration, attempt int, v DialVerdict) Result {
+func (g *Grabber) grabAttempt(ctx context.Context, p proto.Protocol, dst ip.Addr, t time.Duration, attempt int, v DialVerdict) Result {
 	res := Result{Proto: p}
 	var dialStart time.Time
 	if g.Metrics != nil {
 		dialStart = time.Now()
 	}
-	// The reference dial fails a canceled context immediately, classified
-	// as a timeout; re-checked per attempt, like Dial is called per
-	// attempt.
+	// A canceled context fails the dial immediately: the connection
+	// never completes, which on the wire is indistinguishable from a
+	// timeout. Re-checked per attempt. (The record is discarded with the
+	// canceled scan.)
 	if ctx.Err() != nil {
 		res.Fail = FailTimeout
 		if g.Metrics != nil {
@@ -310,7 +246,7 @@ func (g *Grabber) grabOnceFast(ctx context.Context, fd FastDialer, p proto.Proto
 		return res
 	}
 	if attempt > 0 {
-		v = fd.Predial(dst, p.Port(), t, attempt)
+		v = g.Dialer.Predial(dst, p.Port(), t, attempt)
 	}
 	if v == DialTimeout || v == DialRefused {
 		if v == DialTimeout {
@@ -323,35 +259,15 @@ func (g *Grabber) grabOnceFast(ctx context.Context, fd FastDialer, p proto.Proto
 		}
 		return res
 	}
-	conn := fd.ConnectFast(dst, p.Port(), v)
+	conn := g.Dialer.ConnectFast(dst, p.Port(), v)
 	if g.Metrics != nil {
 		g.Metrics.DialSeconds.ObserveDuration(time.Since(dialStart))
 	}
 	defer conn.Close()
-	// No deadline: fast-path connections are fully in-memory, reads never
-	// block, so the IOTimeout clock reads would be pure overhead.
+	// No deadline: connections are fully in-memory, reads never block,
+	// so IOTimeout clock reads would be pure overhead.
 	g.exchange(conn, p, dst, &res)
 	return res
-}
-
-func classifyDialError(err error) FailMode {
-	switch {
-	case errors.Is(err, ErrRefused):
-		return FailRefused
-	case errors.Is(err, ErrTimeout):
-		return FailTimeout
-	case errors.Is(err, context.Canceled), errors.Is(err, context.DeadlineExceeded):
-		// A dial aborted by run cancellation: the connection never
-		// completed, which on the wire is indistinguishable from a
-		// timeout. (The record is discarded with the canceled scan.)
-		return FailTimeout
-	default:
-		var ne net.Error
-		if errors.As(err, &ne) && ne.Timeout() {
-			return FailTimeout
-		}
-		return FailRefused
-	}
 }
 
 // classifyIOError maps a mid-handshake error to a failure mode.
@@ -359,7 +275,7 @@ func classifyIOError(err error, sawBytes bool) FailMode {
 	switch {
 	case err == nil:
 		return FailNone
-	case errors.Is(err, vconn.ErrReset):
+	case errors.Is(err, syscall.ECONNRESET):
 		return FailReset
 	case errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF):
 		if sawBytes {

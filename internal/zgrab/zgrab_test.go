@@ -14,8 +14,8 @@ import (
 	"repro/internal/vconn"
 )
 
-// pipeDialer serves every dial with a hostsim instance over a vconn pipe,
-// with optional misbehaviour injected per dial.
+// pipeDialer serves every connection with a hostsim instance over a vconn
+// pipe, with optional misbehaviour injected per dial.
 type pipeDialer struct {
 	server *hostsim.Server
 	proto  proto.Protocol
@@ -25,48 +25,64 @@ type pipeDialer struct {
 	abortAfter bool // accept then immediately RST (Alibaba)
 	closeAfter bool // accept then immediately FIN (MaxStartups)
 	garbage    bool // speak a non-protocol banner
-	// refuseFirstN refuses the first N attempts, then serves (retry test).
+	// refuseFirstN closes the first N attempts, then serves (retry test).
 	refuseFirstN int
-	dials        int
+	// dials counts connections handed to the grabber.
+	dials int
 }
 
-func (d *pipeDialer) Dial(ctx context.Context, dst ip.Addr, port uint16, t time.Duration, attempt int) (net.Conn, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	d.dials++
+func (d *pipeDialer) Predial(dst ip.Addr, port uint16, t time.Duration, attempt int) DialVerdict {
 	switch {
 	case d.refuse:
-		return nil, ErrRefused
+		return DialRefused
 	case d.silent:
-		return nil, ErrTimeout
+		return DialTimeout
+	case d.abortAfter:
+		return DialReset
+	case d.closeAfter, d.refuseFirstN > 0 && attempt < d.refuseFirstN:
+		return DialHalfClose
 	}
+	return DialConnect
+}
+
+func (d *pipeDialer) PredialBatch(dsts []ip.Addr, ts []time.Duration, port uint16, out []DialVerdict) {
+	for i, dst := range dsts {
+		out[i] = d.Predial(dst, port, ts[i], 0)
+	}
+}
+
+func (d *pipeDialer) ConnectFast(dst ip.Addr, port uint16, v DialVerdict) net.Conn {
+	d.dials++
 	client, server := vconn.PipeLabeled("scanner", dst.String())
 	switch {
-	case d.abortAfter:
+	case v == DialReset:
 		go server.Abort()
-	case d.closeAfter:
+	case v == DialHalfClose:
 		go server.Close()
 	case d.garbage:
 		go func() {
 			server.Write([]byte("220 FTP ready\r\n"))
 			server.Close()
 		}()
-	case d.refuseFirstN > 0 && attempt < d.refuseFirstN:
-		go server.Close()
 	default:
 		go d.server.Serve(server, dst, d.proto)
 	}
-	return client, nil
+	return client
 }
 
 func newGrabber(d Dialer) *Grabber {
-	return &Grabber{Dialer: d, Key: rng.NewKey(9).Derive("grab"), IOTimeout: 5 * time.Second}
+	return &Grabber{Dialer: d, Key: rng.NewKey(9).Derive("grab")}
+}
+
+// grab runs one grab the way the grab stage does: attempt 0's verdict
+// first, then GrabFast.
+func grab(ctx context.Context, g *Grabber, p proto.Protocol, dst ip.Addr, t time.Duration) Result {
+	return g.GrabFast(ctx, p, dst, t, g.Dialer.Predial(dst, p.Port(), t, 0))
 }
 
 func TestGrabHTTPSuccess(t *testing.T) {
 	d := &pipeDialer{server: hostsim.NewServer(rng.NewKey(1)), proto: proto.HTTP}
-	res := newGrabber(d).Grab(context.Background(), proto.HTTP, ip.MustParseAddr("10.0.0.1"), 0)
+	res := grab(context.Background(), newGrabber(d), proto.HTTP, ip.MustParseAddr("10.0.0.1"), 0)
 	if !res.Success {
 		t.Fatalf("grab failed: %+v", res)
 	}
@@ -80,7 +96,7 @@ func TestGrabHTTPSuccess(t *testing.T) {
 
 func TestGrabHTTPSSuccess(t *testing.T) {
 	d := &pipeDialer{server: hostsim.NewServer(rng.NewKey(2)), proto: proto.HTTPS}
-	res := newGrabber(d).Grab(context.Background(), proto.HTTPS, ip.MustParseAddr("10.0.0.2"), 0)
+	res := grab(context.Background(), newGrabber(d), proto.HTTPS, ip.MustParseAddr("10.0.0.2"), 0)
 	if !res.Success {
 		t.Fatalf("grab failed: %+v", res)
 	}
@@ -91,7 +107,7 @@ func TestGrabHTTPSSuccess(t *testing.T) {
 
 func TestGrabSSHSuccess(t *testing.T) {
 	d := &pipeDialer{server: hostsim.NewServer(rng.NewKey(3)), proto: proto.SSH}
-	res := newGrabber(d).Grab(context.Background(), proto.SSH, ip.MustParseAddr("10.0.0.3"), 0)
+	res := grab(context.Background(), newGrabber(d), proto.SSH, ip.MustParseAddr("10.0.0.3"), 0)
 	if !res.Success {
 		t.Fatalf("grab failed: %+v", res)
 	}
@@ -105,7 +121,7 @@ func TestBannerVariesByHost(t *testing.T) {
 	g := newGrabber(d)
 	banners := map[string]bool{}
 	for i := 0; i < 30; i++ {
-		res := g.Grab(context.Background(), proto.SSH, ip.AddrFrom4(0x0a000000+uint32(i)), 0)
+		res := grab(context.Background(), g, proto.SSH, ip.AddrFrom4(0x0a000000+uint32(i)), 0)
 		if res.Success {
 			banners[res.Banner] = true
 		}
@@ -118,8 +134,8 @@ func TestBannerVariesByHost(t *testing.T) {
 func TestBannerStablePerHost(t *testing.T) {
 	d := &pipeDialer{server: hostsim.NewServer(rng.NewKey(5)), proto: proto.HTTP}
 	g := newGrabber(d)
-	a := g.Grab(context.Background(), proto.HTTP, ip.MustParseAddr("10.0.0.9"), 0)
-	b := g.Grab(context.Background(), proto.HTTP, ip.MustParseAddr("10.0.0.9"), time.Hour)
+	a := grab(context.Background(), g, proto.HTTP, ip.MustParseAddr("10.0.0.9"), 0)
+	b := grab(context.Background(), g, proto.HTTP, ip.MustParseAddr("10.0.0.9"), time.Hour)
 	if a.Banner != b.Banner {
 		t.Errorf("same host changed banner: %q vs %q", a.Banner, b.Banner)
 	}
@@ -139,7 +155,7 @@ func TestGrabFailureModes(t *testing.T) {
 		{"garbage", &pipeDialer{server: base, proto: proto.SSH, garbage: true}, FailProto},
 	}
 	for _, c := range cases {
-		res := newGrabber(c.d).Grab(context.Background(), proto.SSH, ip.MustParseAddr("10.1.0.1"), 0)
+		res := grab(context.Background(), newGrabber(c.d), proto.SSH, ip.MustParseAddr("10.1.0.1"), 0)
 		if res.Success || res.Fail != c.want {
 			t.Errorf("%s: result %+v, want fail=%v", c.name, res, c.want)
 		}
@@ -152,7 +168,7 @@ func TestRetriesRecoverFlakyHost(t *testing.T) {
 	d := &pipeDialer{server: hostsim.NewServer(rng.NewKey(7)), proto: proto.SSH, refuseFirstN: 3}
 	g := newGrabber(d)
 	g.Retries = 8
-	res := g.Grab(context.Background(), proto.SSH, ip.MustParseAddr("10.2.0.1"), 0)
+	res := grab(context.Background(), g, proto.SSH, ip.MustParseAddr("10.2.0.1"), 0)
 	if !res.Success {
 		t.Fatalf("retries did not recover: %+v", res)
 	}
@@ -163,7 +179,7 @@ func TestRetriesRecoverFlakyHost(t *testing.T) {
 	// Without retries the same host fails closed.
 	d2 := &pipeDialer{server: hostsim.NewServer(rng.NewKey(7)), proto: proto.SSH, refuseFirstN: 3}
 	g2 := newGrabber(d2)
-	res2 := g2.Grab(context.Background(), proto.SSH, ip.MustParseAddr("10.2.0.1"), 0)
+	res2 := grab(context.Background(), g2, proto.SSH, ip.MustParseAddr("10.2.0.1"), 0)
 	if res2.Success || res2.Fail != FailClosed {
 		t.Errorf("no-retry grab = %+v, want FailClosed", res2)
 	}
@@ -178,7 +194,7 @@ func TestGrabCanceledContextStopsRetries(t *testing.T) {
 	d := &pipeDialer{server: hostsim.NewServer(rng.NewKey(7)), proto: proto.SSH, refuseFirstN: 3}
 	g := newGrabber(d)
 	g.Retries = 8
-	res := g.Grab(ctx, proto.SSH, ip.MustParseAddr("10.2.0.1"), 0)
+	res := grab(ctx, g, proto.SSH, ip.MustParseAddr("10.2.0.1"), 0)
 	if res.Success {
 		t.Fatalf("grab succeeded under canceled context: %+v", res)
 	}

@@ -289,8 +289,10 @@ func (s *Scanner) emitTarget(a uint32, position uint64, st *Stats, emit func(ip.
 // surviving targets into dsts/times via pos, and the routability pass fills
 // routed. One kernel is a single ~130 KiB allocation reused for the whole
 // sweep, so the per-address cost is array writes — no per-batch allocation,
-// no interface calls inside the batch.
+// no interface calls inside the batch. blocks, when non-nil, is Targets'
+// /24 block filter.
 type sweepKernel struct {
+	blocks []uint64
 	idxs   [sweepBatch]uint64
 	raw    [sweepBatch]ip.Addr
 	addrs  [sweepBatch]uint32
@@ -401,7 +403,11 @@ func (s *Scanner) sweep(ctx context.Context, st *Stats, fl *statsFlusher, k *swe
 			k.pos[i] = position + uint64(i) + 1
 		}
 		position += uint64(n)
-		if kept := s.filterBatch(k.addrs[:n], k.pos[:n], st, k); kept > 0 {
+		m := n
+		if k.blocks != nil {
+			m = k.keepBlocks(n)
+		}
+		if kept := s.filterBatch(k.addrs[:m], k.pos[:m], st, k); kept > 0 {
 			emit(k.dsts[:kept], k.times[:kept])
 		}
 		if n < sweepBatch {
@@ -412,6 +418,19 @@ func (s *Scanner) sweep(ctx context.Context, st *Stats, fl *statsFlusher, k *swe
 			return nil
 		}
 	}
+}
+
+// keepBlocks compacts the first n addresses (and their positions) to those
+// in a /24 block marked in k.blocks, returning how many remain.
+func (k *sweepKernel) keepBlocks(n int) int {
+	m := 0
+	for i, a := range k.addrs[:n] {
+		if b := a >> 8; int(b>>6) < len(k.blocks) && k.blocks[b>>6]&(1<<(b&63)) != 0 {
+			k.addrs[m], k.pos[m] = a, k.pos[i]
+			m++
+		}
+	}
+	return m
 }
 
 // sweepHitlist is sweep over a hitlist: identical batching, positions,
@@ -445,18 +464,22 @@ func (s *Scanner) sweepHitlist(ctx context.Context, st *Stats, fl *statsFlusher,
 	}
 }
 
-// Targets invokes fn for every address the scan will probe, in scan order,
-// with its base virtual probe time — the scan's schedule without sending a
-// packet. The deterministic parallel engine uses this to precompute IDS
-// detection points before scans of the same seed run concurrently.
-func (s *Scanner) Targets(ctx context.Context, fn func(dst ip.Addr, t time.Duration)) error {
+// Targets invokes fn once per sweep batch with the addresses the scan will
+// probe, in scan order, and their base virtual probe times — the scan's
+// schedule without sending a packet. The study engine uses this to
+// precompute IDS detection points before scans of the same seed run
+// concurrently. Both slices are only valid for the duration of the call.
+//
+// blocks, when non-nil, restricts a space sweep to the /24 blocks whose
+// bit is set (bit b&63 of blocks[b>>6] covers addresses b<<8 through
+// b<<8|255); hitlist targets are not filtered. The filter runs before the
+// allow/blocklists and the clock arithmetic, so a caller that needs a
+// small part of the space pays only the permutation step and one bit test
+// for the rest.
+func (s *Scanner) Targets(ctx context.Context, blocks []uint64, fn func(dsts []ip.Addr, times []time.Duration)) error {
 	var st Stats
-	k := new(sweepKernel)
-	return s.sweep(ctx, &st, nil, k, func(dsts []ip.Addr, times []time.Duration) {
-		for i := range dsts {
-			fn(dsts[i], times[i])
-		}
-	})
+	k := &sweepKernel{blocks: blocks}
+	return s.sweep(ctx, &st, nil, k, fn)
 }
 
 // probeTarget sends the configured probes for one target, validates the

@@ -869,3 +869,59 @@ func TestValidateRespZeroAllocs(t *testing.T) {
 		}
 	}
 }
+
+// TestTargetsBlockFilter pins Targets' /24 block filter: the filtered
+// schedule is exactly the unfiltered one restricted to the marked blocks,
+// same order and same probe times, with the blocklist still applied and
+// blocks beyond the bitmap dropped.
+func TestTargetsBlockFilter(t *testing.T) {
+	cfg := testConfig()
+	cfg.SpaceBits = 16 // 256 blocks, several sweep batches
+	cfg.Blocklist = ip.NewSet()
+	cfg.Blocklist.Add(ip.MustParsePrefix("0.0.3.0/25"))
+	s, err := NewScanner(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type target struct {
+		dst ip.Addr
+		t   time.Duration
+	}
+	collect := func(blocks []uint64) []target {
+		var out []target
+		err := s.Targets(context.Background(), blocks, func(dsts []ip.Addr, times []time.Duration) {
+			for i := range dsts {
+				out = append(out, target{dsts[i], times[i]})
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	all := collect(nil)
+	if len(all) != 1<<16-128 {
+		t.Fatalf("unfiltered sweep: %d targets, want %d", len(all), 1<<16-128)
+	}
+	// Every third block of the first 192; blocks 192-255 lie beyond the
+	// three-word bitmap.
+	blocks := make([]uint64, 3)
+	for b := 0; b < 192; b += 3 {
+		blocks[b>>6] |= 1 << (b & 63)
+	}
+	var want []target
+	for _, tg := range all {
+		if b := tg.dst.V4() >> 8; b < 192 && b%3 == 0 {
+			want = append(want, tg)
+		}
+	}
+	got := collect(blocks)
+	if len(got) != len(want) {
+		t.Fatalf("filtered sweep: %d targets, want %d", len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("target %d: %+v, want %+v", i, got[i], want[i])
+		}
+	}
+}
